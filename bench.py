@@ -5,7 +5,7 @@
                                  # processes), prints scaling efficiency
 
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1),
-     RAY_GRAFT_CPUS (default 32),
+     RAY_GRAFT_CPUS (default os.cpu_count()),
      GRAFT_BENCH_TURNS (synthetic flagship turns; default 60000).
 
 Headline metric: wall seconds for the flagship KG pipeline (synthetic
@@ -184,9 +184,13 @@ def _headline_and_queries(sf_dir: str, num_cpus: int, n_turns: int) -> dict:
     }
 
 
+def _num_cpus() -> int:
+    return int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count() or 1)
+
+
 def main():
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    num_cpus = _num_cpus()
     # FIXTURES.md: n_turns ~ SF * 6M -> 600k at the sf0.1 bench scale
     default_turns = "600000" if sf_dir.rstrip("/").endswith("0.1") else "60000"
     n_turns = int(os.environ.get("GRAFT_BENCH_TURNS", default_turns))
@@ -283,7 +287,7 @@ def main():
                 "triples": stats["triples"],
                 "queries": stats["queries"],
                 "sf": os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1"),
-                "num_cpus": int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+                "num_cpus": _num_cpus(),
             }
         )
     )

@@ -60,3 +60,13 @@ def crc32_bucket_concat(table: pa.Table, cols: list[str], n_buckets: int, sep: s
         parts.append(pc.fill_null(a, ""))
     joined = pc.binary_join_element_wise(*parts, pa.scalar(sep, pa.large_string()))
     return crc32_bucket(joined, n_buckets)
+
+
+def splitmix64(x: np.ndarray) -> np.ndarray:
+    """Vectorized splitmix64 finalizer of each value's 64-bit pattern
+    (public-domain constants; uint64 overflow wraps, which is exactly
+    the mix).  ``splitmix64(0)`` is SplitMix64's first output for seed 0."""
+    z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))

@@ -40,19 +40,20 @@ scan, md5-byte split, hex shard arithmetic) in pure SQL.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..state import commit
 from .flagship import (
     MAX_PARTITIONS,
     MIN_PARTITIONS,
-    _write_run_meta,
+    RUN_META,
     completed_parts,
     load_run_meta,
+    partition_manifests,
 )
 
 DEFAULT_DOCS_PER_SHARD = 50_000
@@ -146,16 +147,12 @@ class ShardWriter:
         ids_stream = "\n".join(str(d) for d in group["doc_id"])
         sha = hashlib.sha256(ids_stream.encode()).hexdigest()
 
-        os.makedirs("%s/shards" % self.out_dir, exist_ok=True)
-        os.makedirs("%s/_manifest" % self.out_dir, exist_ok=True)
         data = pa.Table.from_pandas(
             group[["doc_id", "text", "lang", "shuffle_key"]],
             preserve_index=False,
         )
-        tmp = "%s/shards/shard-%05d.parquet.tmp" % (self.out_dir, part)
         final = "%s/shards/shard-%05d.parquet" % (self.out_dir, part)
-        pq.write_table(data, tmp)
-        os.replace(tmp, final)
+        commit.atomic_write(final, lambda tmp: pq.write_table(data, tmp))
 
         manifest = {
             "part": part,
@@ -164,11 +161,7 @@ class ShardWriter:
             "sha256_ids": sha,
             "parquet": os.path.basename(final),
         }
-        mf_tmp = "%s/_manifest/part-%05d.json.tmp" % (self.out_dir, part)
-        mf_final = "%s/_manifest/part-%05d.json" % (self.out_dir, part)
-        with open(mf_tmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(mf_tmp, mf_final)
+        commit.publish_manifest(self.out_dir, "_manifest/part-%05d.json" % part, manifest)
 
         return pa.Table.from_pydict(
             {
@@ -207,9 +200,9 @@ def _resolve_export_meta(docs_ds, out_dir, n_parts, resume, docs_per_shard,
         n_docs = docs_ds.count()  # metadata-only for parquet inputs
         n_parts = -(-n_docs // docs_per_shard)
         n_parts = max(MIN_PARTITIONS, min(MAX_PARTITIONS, n_parts))
-    _write_run_meta(
-        out_dir, {"n_parts": int(n_parts), "seed": int(seed),
-                  "params": params_fp}
+    commit.publish_manifest(
+        out_dir, RUN_META, {"n_parts": int(n_parts), "seed": int(seed),
+                            "params": params_fp}
     )
     return int(n_parts)
 
@@ -225,57 +218,54 @@ def run_curation_export(
 ):
     """Run the export; returns the full per-shard summary (part, docs,
     tokens) read back from the on-disk manifests — identical whether
-    the shards were written by this call or a previous one (resume)."""
-    params_fp = "holdout=%d" % holdout_bytes
-    n_parts = _resolve_export_meta(
-        docs_ds, out_dir, n_parts, resume, docs_per_shard, seed, params_fp
-    )
-    done = completed_parts(out_dir) if resume else set()
-
-    train = curated_train_docs(docs_ds, holdout_bytes=holdout_bytes)
-
-    def add_shard(batch: pd.DataFrame) -> pd.DataFrame:
-        if not len(batch):
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "text": pd.Series([], dtype=object),
-                    "lang": pd.Series([], dtype=object),
-                    "part": pd.Series([], dtype="int32"),
-                    "shuffle_key": pd.Series([], dtype=object),
-                }
-            )
-        parts, keys = _shard_cols(
-            batch["doc_id"].to_numpy(), seed, n_parts
+    the shards were written by this call or a previous one (resume).
+    The driver holds ``out_dir``'s writer lock for the whole run."""
+    os.makedirs(out_dir, exist_ok=True)
+    with commit.writer_lock(out_dir):
+        params_fp = "holdout=%d" % holdout_bytes
+        n_parts = _resolve_export_meta(
+            docs_ds, out_dir, n_parts, resume, docs_per_shard, seed, params_fp
         )
-        out = batch[["doc_id", "text", "lang"]].copy()
-        out["part"] = pd.Series(parts, dtype="int32").to_numpy()
-        out["shuffle_key"] = keys
-        if done:  # resume: completed shards never enter the exchange
-            out = out[~out["part"].isin(list(done))]
-        return out
+        done = completed_parts(out_dir) if resume else set()
 
-    pending = train.map_batches(add_shard, batch_format="pandas")
-    writer = ShardWriter(out_dir)
+        train = curated_train_docs(docs_ds, holdout_bytes=holdout_bytes)
 
-    def write_shard(group):  # map_groups wants a plain callable
-        return writer(group)
+        def add_shard(batch: pd.DataFrame) -> pd.DataFrame:
+            if not len(batch):
+                return pd.DataFrame(
+                    {
+                        "doc_id": pd.Series([], dtype="int64"),
+                        "text": pd.Series([], dtype=object),
+                        "lang": pd.Series([], dtype=object),
+                        "part": pd.Series([], dtype="int32"),
+                        "shuffle_key": pd.Series([], dtype=object),
+                    }
+                )
+            parts, keys = _shard_cols(
+                batch["doc_id"].to_numpy(), seed, n_parts
+            )
+            out = batch[["doc_id", "text", "lang"]].copy()
+            out["part"] = pd.Series(parts, dtype="int32").to_numpy()
+            out["shuffle_key"] = keys
+            if done:  # resume: completed shards never enter the exchange
+                out = out[~out["part"].isin(list(done))]
+            return out
 
-    (
-        pending.groupby("part")
-        .map_groups(write_shard, batch_format="pandas")
-        .materialize()  # drive the writes; summary comes from disk
-    )
+        pending = train.map_batches(add_shard, batch_format="pandas")
+        writer = ShardWriter(out_dir)
 
-    # summary from the manifests — covers freshly written AND
-    # previously completed shards, so resume returns the same table
-    rows = []
-    mdir = "%s/_manifest" % out_dir
-    for name in sorted(os.listdir(mdir)):
-        if name.endswith(".json") and name != "meta.json":
-            with open(os.path.join(mdir, name)) as f:
-                m = json.load(f)
-            rows.append((m["part"], m["docs"], m["tokens"]))
-    return pd.DataFrame(rows, columns=["part", "docs", "tokens"]).astype(
-        {"part": "int32", "docs": "int64", "tokens": "int64"}
-    )
+        def write_shard(group):  # map_groups wants a plain callable
+            return writer(group)
+
+        (
+            pending.groupby("part")
+            .map_groups(write_shard, batch_format="pandas")
+            .materialize()  # drive the writes; summary comes from disk
+        )
+
+        # summary from the manifests — covers freshly written AND
+        # previously completed shards, so resume returns the same table
+        rows = [(m["part"], m["docs"], m["tokens"]) for m in partition_manifests(out_dir)]
+        return pd.DataFrame(rows, columns=["part", "docs", "tokens"]).astype(
+            {"part": "int32", "docs": "int64", "tokens": "int64"}
+        )

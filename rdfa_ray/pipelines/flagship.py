@@ -23,8 +23,8 @@ canonicalization key does NOT align with the output partitioning.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
+import pathlib
 import zlib
 
 import pyarrow as pa
@@ -33,6 +33,7 @@ import pyarrow.parquet as pq
 
 from ..functions.hashing import crc32_bucket
 from ..sources.aliases import build_alias_table
+from ..state import commit
 from ..stages.distill import DISTILL_BATCH_SIZE, RdfaDistiller
 from ..stages.link import link_batch_augmenting
 
@@ -99,8 +100,9 @@ class PartitionWriter:
     """Per-partition atomic sink: parquet + N-Triples + manifest entry.
 
     Called from ``groupby("part").map_groups`` so one task owns one
-    output partition; writes to a temp path then renames (resume
-    safety); returns the manifest row.
+    output partition; every file is an ``atomic_write`` and the
+    manifest entry is published last (resume safety); returns the
+    manifest row.
     """
 
     def __init__(self, out_dir: str, canonicalize_links: bool = False):
@@ -131,14 +133,8 @@ class PartitionWriter:
             group = _canonicalize_bucket(group)
         data = pa.Table.from_pandas(group, preserve_index=False)
 
-        os.makedirs("%s/parquet" % self.out_dir, exist_ok=True)
-        os.makedirs("%s/nt" % self.out_dir, exist_ok=True)
-        os.makedirs("%s/_manifest" % self.out_dir, exist_ok=True)
-
-        pq_tmp = "%s/parquet/part-%05d.parquet.tmp" % (self.out_dir, part)
         pq_final = "%s/parquet/part-%05d.parquet" % (self.out_dir, part)
-        pq.write_table(data, pq_tmp)
-        os.replace(pq_tmp, pq_final)
+        commit.atomic_write(pq_final, lambda tmp: pq.write_table(data, tmp))
 
         # N-Quads formatting straight from Arrow (pyarrow.compute
         # kernels — no pandas round-trip, no per-row Python; this is
@@ -155,11 +151,8 @@ class PartitionWriter:
             nt_text = "\n".join(lines.to_pylist()) + "\n"
         else:
             nt_text = ""
-        nt_tmp = "%s/nt/part-%05d.nq.tmp" % (self.out_dir, part)
         nt_final = "%s/nt/part-%05d.nq" % (self.out_dir, part)
-        with open(nt_tmp, "w") as f:
-            f.write(nt_text)
-        os.replace(nt_tmp, nt_final)
+        commit.atomic_write(nt_final, lambda tmp: pathlib.Path(tmp).write_text(nt_text))
 
         sha = hashlib.sha256(nt_text.encode()).hexdigest()
         convs = set(data.column("conv_id").to_pylist())
@@ -173,11 +166,7 @@ class PartitionWriter:
             "parquet": os.path.basename(pq_final),
             "nq": os.path.basename(nt_final),
         }
-        mf_tmp = "%s/_manifest/part-%05d.json.tmp" % (self.out_dir, part)
-        mf_final = "%s/_manifest/part-%05d.json" % (self.out_dir, part)
-        with open(mf_tmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(mf_tmp, mf_final)
+        commit.publish_manifest(self.out_dir, "_manifest/part-%05d.json" % part, manifest)
 
         return pa.Table.from_pydict(
             {
@@ -190,16 +179,20 @@ class PartitionWriter:
         )
 
 
-def completed_parts(out_dir: str) -> set[int]:
+def partition_manifests(out_dir: str) -> list[dict]:
+    """The published per-partition manifest entries, in part order."""
     mdir = "%s/_manifest" % out_dir
     if not os.path.isdir(mdir):
-        return set()
-    done = set()
-    for name in os.listdir(mdir):
-        if name.endswith(".json") and name != "meta.json":
-            with open(os.path.join(mdir, name)) as f:
-                done.add(json.load(f)["part"])
-    return done
+        return []
+    return [
+        commit.read_manifest(mdir, name)
+        for name in sorted(os.listdir(mdir))
+        if name.endswith(".json") and name != "meta.json"
+    ]
+
+
+def completed_parts(out_dir: str) -> set[int]:
+    return {m["part"] for m in partition_manifests(out_dir)}
 
 
 # partition sizing: bounded rows per output partition regardless of
@@ -211,24 +204,11 @@ MIN_PARTITIONS = 16
 MAX_PARTITIONS = 65_536
 
 
-def _run_meta_path(out_dir: str) -> str:
-    return "%s/_manifest/meta.json" % out_dir
+RUN_META = "_manifest/meta.json"
 
 
 def load_run_meta(out_dir: str) -> dict | None:
-    path = _run_meta_path(out_dir)
-    if not os.path.exists(path):
-        return None
-    with open(path) as f:
-        return json.load(f)
-
-
-def _write_run_meta(out_dir: str, meta: dict):
-    os.makedirs("%s/_manifest" % out_dir, exist_ok=True)
-    tmp = _run_meta_path(out_dir) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, _run_meta_path(out_dir))
+    return commit.read_manifest(out_dir, RUN_META)
 
 
 def resolve_n_parts(turns_ds, out_dir, n_parts, resume, rows_per_partition):
@@ -262,7 +242,7 @@ def resolve_n_parts(turns_ds, out_dir, n_parts, resume, rows_per_partition):
         n_turns = turns_ds.count()
         n_parts = -(-n_turns // rows_per_partition)
         n_parts = max(MIN_PARTITIONS, min(MAX_PARTITIONS, n_parts))
-    _write_run_meta(out_dir, {"n_parts": int(n_parts)})
+    commit.publish_manifest(out_dir, RUN_META, {"n_parts": int(n_parts)})
     return int(n_parts)
 
 
@@ -288,50 +268,54 @@ def run_flagship(
     (they were written atomically); their conversations are filtered
     OUT of the input before any expensive work happens, so a rerun
     only processes the missing key ranges.
+
+    The driver holds ``out_dir``'s writer lock for the whole run.
     """
-    n_parts = resolve_n_parts(turns_ds, out_dir, n_parts, resume, rows_per_partition)
-    done = completed_parts(out_dir) if resume else set()
+    os.makedirs(out_dir, exist_ok=True)
+    with commit.writer_lock(out_dir):
+        n_parts = resolve_n_parts(turns_ds, out_dir, n_parts, resume, rows_per_partition)
+        done = completed_parts(out_dir) if resume else set()
 
-    def drop_done(batch: pa.Table) -> pa.Table:
-        if not done:
-            return batch
-        parts = crc32_bucket(batch.column("conv_id"), n_parts)
-        keep = pc.invert(pc.is_in(parts, value_set=pa.array(sorted(done), pa.int32())))
-        return batch.filter(keep)
+        def drop_done(batch: pa.Table) -> pa.Table:
+            if not done:
+                return batch
+            parts = crc32_bucket(batch.column("conv_id"), n_parts)
+            keep = pc.invert(pc.is_in(parts, value_set=pa.array(sorted(done), pa.int32())))
+            return batch.filter(keep)
 
-    pending = turns_ds.map_batches(drop_done, batch_format="pyarrow")
+        pending = turns_ds.map_batches(drop_done, batch_format="pyarrow")
 
-    raw = build_triples(pending, options_kwargs=options_kwargs, concurrency=concurrency)
-    if link:
-        import ray
+        raw = build_triples(pending, options_kwargs=options_kwargs, concurrency=concurrency)
+        if link:
+            import ray
 
-        alias_ref = ray.put(build_alias_table())
-        # elastic TASKS (not an actor pool): the linker is cheap
-        # (~3.4 us/row) and an actor pool would reserve CPUs against
-        # the distiller pool; per-worker regex state is cached inside
-        # link_batch_augmenting
-        final = raw.map_batches(
-            link_batch_augmenting,
-            fn_kwargs={"alias_ref": alias_ref},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=4096,
+            alias_ref = ray.put(build_alias_table())
+            # elastic TASKS (not an actor pool): the linker is cheap
+            # (~3.4 us/row) and an actor pool would reserve CPUs against
+            # the distiller pool; per-worker regex state is cached inside
+            # link_batch_augmenting
+            final = raw.map_batches(
+                link_batch_augmenting,
+                fn_kwargs={"alias_ref": alias_ref},
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+                batch_size=4096,
+            )
+        else:
+            final = raw
+
+        # ONE all-to-all: partition by hash(conv_id).  The per-turn graph
+        # IRI is conv-derived, so this co-locates every (graph, subj) group
+        # with its link evidence; canonicalization runs inside the same
+        # per-partition task that writes the output — a fused
+        # canonicalize+materialize with a single shuffle (SURVEY §7.3).
+        parted = final.map_batches(
+            lambda b: _add_part(b, n_parts), batch_format="pyarrow"
         )
-    else:
-        final = raw
+        writer = PartitionWriter(out_dir, canonicalize_links=link)
 
-    # ONE all-to-all: partition by hash(conv_id).  The per-turn graph
-    # IRI is conv-derived, so this co-locates every (graph, subj) group
-    # with its link evidence; canonicalization runs inside the same
-    # per-partition task that writes the output — a fused
-    # canonicalize+materialize with a single shuffle (SURVEY §7.3).
-    parted = final.map_batches(
-        lambda b: _add_part(b, n_parts), batch_format="pyarrow"
-    )
-    writer = PartitionWriter(out_dir, canonicalize_links=link)
+        def write_partition(group):
+            return writer(group)
 
-    def write_partition(group):
-        return writer(group)
-
-    summary = parted.groupby("part").map_groups(write_partition, batch_format="pandas")
-    return summary.to_pandas()
+        summary = parted.groupby("part").map_groups(write_partition, batch_format="pandas")
+        return summary.to_pandas()

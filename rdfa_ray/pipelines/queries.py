@@ -202,24 +202,19 @@ def q_rdfa_vocab_deref(sf_dir: str):
     ``rdfa_vocab_expansion``'s config-injected graph exactly."""
     import hashlib as _hl
     import os as _os
-    import uuid as _uuid
+    import pathlib
 
     from ..sources.uriopen import VocabCache, load_vocab_graphs
+    from ..state import commit
 
     scratch = "/tmp/graft_vocab_%s" % _hl.md5(sf_dir.encode()).hexdigest()[:8]
-    _os.makedirs(scratch, exist_ok=True)
     ttl = _os.path.join(scratch, "vocab.ttl")
-    # uuid-suffixed tmp: two concurrent drivers both write-then-rename
-    # without racing on a shared tmp name (same pattern as the hash
-    # store's build dirs)
-    tmp = "%s.%s.tmp" % (ttl, _uuid.uuid4().hex[:8])
-    with open(tmp, "w") as f:
-        f.write(
-            "<http://vocab.local/name> "
-            "<http://www.w3.org/2000/01/rdf-schema#subPropertyOf> "
-            "<http://vocab.local/label> .\n"
-        )
-    _os.replace(tmp, ttl)
+    # two concurrent drivers both write-then-rename without racing
+    commit.atomic_write(ttl, lambda tmp: pathlib.Path(tmp).write_text(
+        "<http://vocab.local/name> "
+        "<http://www.w3.org/2000/01/rdf-schema#subPropertyOf> "
+        "<http://vocab.local/label> .\n"
+    ))
 
     cache = VocabCache(_os.path.join(scratch, "cache"))
     graphs = load_vocab_graphs(["file://" + ttl], cache=cache)
@@ -1031,13 +1026,13 @@ def q_dedup_incremental(sf_dir: str):
     import hashlib as _hl
     import os as _os
     import shutil as _shutil
-    import uuid as _uuid
 
     from ..stages.dedupstore import (
         hash_store_is_complete,
         incremental_exact_dedup,
         persist_hash_store,
     )
+    from ..state import commit
 
     st = _os.stat("%s/documents.parquet" % sf_dir)
     # key = stable sf_dir hash + volatile (mtime,size) hash, so stores
@@ -1047,11 +1042,10 @@ def q_dedup_incremental(sf_dir: str):
         ("%d|%d" % (st.st_mtime_ns, st.st_size)).encode()
     ).hexdigest()[:12]
     store_dir = "/tmp/graft_hashstore_%s_%s" % (sf_key, vol_key)
-    # clean superseded stores and crashed-build leftovers, but only
-    # after a grace period: a different-vol_key store younger than the
-    # grace window may belong to a driver that is mid-read on the
-    # previous testdata generation — deleting it under that reader
-    # would fail its in-flight scan
+    # clean superseded stores, but only after a grace period: a
+    # different-vol_key store younger than the grace window may belong
+    # to a driver that is mid-read on the previous testdata generation
+    # — deleting it under that reader would fail its in-flight scan
     _GRACE_S = 1800
     import time as _time
 
@@ -1063,12 +1057,11 @@ def q_dedup_incremental(sf_dir: str):
             age = now - _os.path.getmtime(stale)
         except OSError:
             continue
-        # superseded stores AND crashed '-build-' leftovers both age
-        # out.  Active users keep their dir's mtime fresh: readers
-        # touch the store before each use (below), and builds here
-        # take seconds (a build outlasting the window would need the
-        # same mtime-touch discipline).  These are best-effort /tmp
-        # cache hygiene semantics, not a lock.
+        # superseded stores age out.  Active users keep their dir's
+        # mtime fresh: readers touch the store before each use (below),
+        # and builds here take seconds (a build outlasting the window
+        # would need the same mtime-touch discipline).  These are
+        # best-effort /tmp cache hygiene semantics, not a lock.
         if age > _GRACE_S:
             _shutil.rmtree(stale, ignore_errors=True)
     docs = read_parquet_clean(
@@ -1087,23 +1080,14 @@ def q_dedup_incremental(sf_dir: str):
 
     corpus = slice_mod(docs, lo=False)
     if not hash_store_is_complete(store_dir):
-        # build under a private dir + atomic rename into the keyed path:
-        # two concurrent drivers on fresh testdata each build their own
-        # candidate and exactly one rename wins — no rmtree race on an
-        # in-flight sibling build (the loser discards its candidate)
-        # an INCOMPLETE husk at store_dir (pre-upgrade crash, partial
-        # rmtree) would make the rename below fail forever — an
-        # incomplete store has no legitimate readers, so clear it
-        if _os.path.isdir(store_dir):
-            _shutil.rmtree(store_dir, ignore_errors=True)
-        build_dir = "%s-build-%s" % (store_dir, _uuid.uuid4().hex[:8])
-        persist_hash_store(corpus, build_dir)
-        try:
-            _os.rename(build_dir, store_dir)
-        except OSError:  # a concurrent builder won the rename
-            _shutil.rmtree(build_dir, ignore_errors=True)
+        # build in place under the store's writer lock; a concurrent
+        # driver waits, then finds the store complete and only reads it.
+        # persist_hash_store clears an incomplete husk's partial parts;
+        # a complete store is never deleted
+        _os.makedirs(store_dir, exist_ok=True)
+        with commit.writer_lock(store_dir):
             if not hash_store_is_complete(store_dir):
-                raise
+                persist_hash_store(corpus, store_dir)
     else:
         # refresh mtime so the grace-window sweep above never reclaims
         # a store that is actively being read
@@ -5049,6 +5033,7 @@ def _ensure_bpe_golden() -> str:
     import pyarrow.parquet as pq
 
     from ..stages.bpe import sequential_reference
+    from ..state import commit
 
     dirs = sorted(glob.glob("/root/testdata/sf*"))
     stamp = []
@@ -5103,9 +5088,7 @@ def _ensure_bpe_golden() -> str:
             "n_tokens": pa.array(rows["n_tokens"], pa.int64()),
         }
     )
-    tmp = path + ".tmp"
-    pq.write_table(golden, tmp)
-    os.replace(tmp, path)
+    commit.atomic_write(path, lambda tmp: pq.write_table(golden, tmp))
     return path
 
 

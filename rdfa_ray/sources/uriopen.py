@@ -35,10 +35,11 @@ from __future__ import annotations
 import base64
 import datetime
 import email.utils
-import json
 import os
+import pathlib
 import urllib.parse
-import uuid as _uuid
+
+from ..state import commit
 
 # media types: reference host/__init__.py:102-114
 MT_RDFXML = "application/rdf+xml"
@@ -116,9 +117,10 @@ class ResourceOpener:
                  fetcher=None):
         headers = dict(additional_headers or {})
         headers.setdefault("Accept", "text/html, application/xhtml+xml")
-        # fragment removal per HTTP spec (reference utils.py:75)
-        url = name.split("#")[0]
-        scheme = urllib.parse.urlsplit(url).scheme.lower()
+        scheme = urllib.parse.urlsplit(name).scheme.lower()
+        # fragment removal per HTTP spec (reference utils.py:75) — only
+        # URLs carry fragments; a bare path keeps its '#'
+        url = name.split("#")[0] if scheme else name
         self.headers: dict = {}
         self.charset = None
         self.last_modified_date = None
@@ -305,25 +307,11 @@ class VocabCache:
     def __init__(self, cache_dir: str):
         self.dir = cache_dir
         os.makedirs(cache_dir, exist_ok=True)
-        self._index = self._read_index()
-
-    def _read_index(self) -> dict:
-        try:
-            with open(os.path.join(self.dir, self.INDEX)) as f:
-                return json.load(f)
-        except (OSError, ValueError):
-            return {}
+        self._index = commit.read_manifest(cache_dir, self.INDEX) or {}
 
     def _write_index(self) -> None:
-        # per-process-unique tmp: concurrent caches sharing a dir must
-        # not race each other's rename (last writer wins, atomically)
-        tmp = os.path.join(
-            self.dir, "%s.%d.%s.tmp" % (self.INDEX, os.getpid(),
-                                        _uuid.uuid4().hex[:6])
-        )
-        with open(tmp, "w") as f:
-            json.dump(self._index, f)
-        os.replace(tmp, os.path.join(self.dir, self.INDEX))
+        # concurrent caches sharing a dir: last writer wins, atomically
+        commit.publish_manifest(self.dir, self.INDEX, self._index)
 
     @staticmethod
     def _key(uri: str) -> str:
@@ -344,13 +332,11 @@ class VocabCache:
         from ..rdf.ntriples import graph_to_ntriples
 
         key = self._key(uri)
-        tmp = os.path.join(
-            self.dir, "%s.%d.%s.nt.tmp" % (key, os.getpid(),
-                                           _uuid.uuid4().hex[:6])
+        text = graph_to_ntriples(triples)  # writer sorts lines itself
+        commit.atomic_write(
+            os.path.join(self.dir, key + ".nt"),
+            lambda tmp: pathlib.Path(tmp).write_text(text),
         )
-        with open(tmp, "w") as f:
-            f.write(graph_to_ntriples(triples))  # writer sorts lines itself
-        os.replace(tmp, os.path.join(self.dir, key + ".nt"))
         self._index[uri] = {
             "key": key,
             "expires": expiration.isoformat() if expiration else None,

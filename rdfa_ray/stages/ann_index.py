@@ -9,9 +9,9 @@ phases the way a production pipeline would:
   centroids (driver-side, tiny), then every vector is assigned its
   cell in ``map_batches`` and written as ``cell=NN/``-partitioned
   Parquet.  ``centroids.npy`` is the index's completeness sentinel,
-  so it is written (atomically, tmp+rename) only AFTER the vectors
-  dataset write finishes — a crash mid-build leaves no sentinel and
-  the next run rebuilds; a partially-built index is never visible.
+  so it is published (``state/commit.py``, under the index's writer
+  lock) only AFTER the vectors dataset write finishes — a crash
+  mid-build leaves no sentinel and the next run rebuilds.
 * ``ivf_search``: reads ONLY the probed cells' partitions
   (``read_parquet`` partition filter → directory pruning at the
   storage layer; scan fraction ≈ n_probe/n_cells), scores the read
@@ -33,6 +33,7 @@ import pyarrow as pa
 
 from .ann import _kmeans, _normalize, _stack, merge_topk, score_batch_ivf
 from ..sources.io import read_parquet as read_parquet_clean
+from ..state import commit
 
 CENTROIDS = "centroids.npy"
 
@@ -50,40 +51,43 @@ def build_ivf_index(embeddings_ds, index_dir: str, n_cells: int = 16, sample_lim
     cents = _normalize(_kmeans(sample, n_cells))
 
     os.makedirs(index_dir, exist_ok=True)
-    # a previous crashed build (no sentinel) may have left partial
-    # vector files; clear them so the rebuild can't mix generations
-    vec_dir = os.path.join(index_dir, "vectors")
-    if os.path.isdir(vec_dir):
-        import shutil
+    with commit.writer_lock(index_dir):
+        # a previous crashed build (no sentinel) may have left partial
+        # vector files; clear them so the rebuild can't mix generations
+        vec_dir = os.path.join(index_dir, "vectors")
+        if os.path.isdir(vec_dir):
+            import shutil
 
-        shutil.rmtree(vec_dir)
+            shutil.rmtree(vec_dir)
 
-    def assign(batch: pa.Table) -> pa.Table:
-        ids, embs = _stack(batch)
-        if len(ids) == 0:
+        def assign(batch: pa.Table) -> pa.Table:
+            ids, embs = _stack(batch)
+            if len(ids) == 0:
+                return pa.Table.from_pydict(
+                    {"vec_id": pa.array([], pa.int64()),
+                     "cell": pa.array([], pa.int32()),
+                     "embedding": batch.column("embedding")}
+                )
+            cells = (_normalize(embs) @ cents.T).argmax(axis=1).astype(np.int32)
             return pa.Table.from_pydict(
-                {"vec_id": pa.array([], pa.int64()),
-                 "cell": pa.array([], pa.int32()),
+                {"vec_id": pa.array(ids, pa.int64()),
+                 "cell": pa.array(cells, pa.int32()),
                  "embedding": batch.column("embedding")}
             )
-        cells = (_normalize(embs) @ cents.T).argmax(axis=1).astype(np.int32)
-        return pa.Table.from_pydict(
-            {"vec_id": pa.array(ids, pa.int64()),
-             "cell": pa.array(cells, pa.int32()),
-             "embedding": batch.column("embedding")}
+
+        embeddings_ds.map_batches(assign, batch_format="pyarrow").write_parquet(
+            os.path.join(index_dir, "vectors"), partition_cols=["cell"]
         )
 
-    embeddings_ds.map_batches(assign, batch_format="pyarrow").write_parquet(
-        os.path.join(index_dir, "vectors"), partition_cols=["cell"]
-    )
+        # sentinel LAST: callers (e.g. q_ann_ivf_indexed) key "index
+        # already built" off this file, so it must not exist before the
+        # vectors write completed
+        def save(tmp):
+            with open(tmp, "wb") as f:  # a path would get ".npy" appended
+                np.save(f, cents)
 
-    # sentinel LAST: callers (e.g. q_ann_ivf_indexed) key "index
-    # already built" off this file, so it must not exist before the
-    # vectors write completed
-    tmp = os.path.join(index_dir, "centroids.tmp.npy")  # np.save appends .npy otherwise
-    np.save(tmp, cents)
-    os.replace(tmp, os.path.join(index_dir, CENTROIDS))
-    return cents
+        commit.atomic_write(os.path.join(index_dir, CENTROIDS), save)
+        return cents
 
 
 def ivf_search(index_dir: str, queries_df: pd.DataFrame, k: int = 10, n_probe: int = 4):

@@ -23,16 +23,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..functions.hashing import splitmix64
 from .join import bucketed_hash_join
 
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    x = (x + np.uint64(0x9E3779B97F4A7C15)) & _MASK64
-    x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _MASK64
-    x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _MASK64
-    return x ^ (x >> np.uint64(31))
 
 
 def _hash_column(col) -> tuple:
@@ -51,11 +45,11 @@ def _hash_column(col) -> tuple:
     pc = _pc()
     valid = np.asarray(pc.is_valid(col), dtype=bool)
     if pa.types.is_integer(col.type):
-        filled = pc.fill_null(pc.cast(col, pa.int64()), 0)
-        u = np.asarray(filled).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h1 = _splitmix64(u)
-            h2 = _splitmix64(u ^ np.uint64(0xA5A5A5A5A5A5A5A5))
+        # hash the 64-bit pattern: unsigned keys >= 2^63 do not fit int64
+        wide = pa.uint64() if pa.types.is_unsigned_integer(col.type) else pa.int64()
+        u = np.asarray(pc.fill_null(pc.cast(col, wide), 0)).astype(np.uint64)
+        h1 = splitmix64(u)
+        h2 = splitmix64(u ^ np.uint64(0xA5A5A5A5A5A5A5A5))
     else:
         import polars as pl
 

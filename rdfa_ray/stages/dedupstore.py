@@ -6,8 +6,9 @@ its own hashes as a new store generation.
 Reference analogue: none in pyrdfa3 — beyond-reference data-ops stage
 in the dedup family (the standing-store counterpart of
 ``dedup.exact_dedup``, structured like ``kgstore``: hash-prefix
-partition directories + an atomically-swapped ``_meta.json`` manifest
-written LAST as the completeness sentinel).
+partition directories + a ``_meta.json`` manifest published LAST as
+the completeness sentinel, every writer under the store's single-writer
+lock — ``state/commit.py``).
 
 Scale shape (the whole point):
 
@@ -28,37 +29,31 @@ Scale shape (the whole point):
 
 from __future__ import annotations
 
-import json
+import contextlib
 import os
 import uuid
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
+# aliased: ``commit`` is incremental_exact_dedup's flag
+from ..state import commit as store_commit
+
 _META = "_meta.json"
 
 
-def _read_meta(store_dir: str) -> dict:
-    with open(os.path.join(store_dir, _META)) as f:
-        return json.load(f)
-
-
-def _write_meta(store_dir: str, meta: dict) -> None:
-    tmp = os.path.join(store_dir, _META + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, os.path.join(store_dir, _META))
-
-
 def hash_store_is_complete(store_dir: str) -> bool:
-    path = os.path.join(store_dir, _META)
-    if not os.path.exists(path):
-        return False
-    try:
-        with open(path) as f:
-            return json.load(f).get("format") == 1
-    except (OSError, ValueError):
-        return False
+    return store_commit.read_manifest(store_dir, _META, 1) is not None
+
+
+def _current_meta(store_dir: str) -> dict:
+    meta = store_commit.read_manifest(store_dir, _META, 1)
+    if meta is None:
+        raise FileNotFoundError(
+            "hash store at %s is absent or incomplete — build it with "
+            "persist_hash_store first" % store_dir
+        )
+    return meta
 
 
 def _hash_prefix_batch(batch: pa.Table, prefix_len: int = 2) -> pa.Table:
@@ -95,20 +90,20 @@ def persist_hash_store(docs_ds, store_dir: str, prefix_len: int = 2) -> dict:
     import shutil
 
     os.makedirs(store_dir, exist_ok=True)
-    if not hash_store_is_complete(store_dir):
-        p = os.path.join(store_dir, "parts")
-        if os.path.isdir(p):  # crashed build: clear partial generations
-            shutil.rmtree(p)
+    with store_commit.writer_lock(store_dir):
+        if not hash_store_is_complete(store_dir):
+            p = os.path.join(store_dir, "parts")
+            if os.path.isdir(p):  # crashed build: clear partial generations
+                shutil.rmtree(p)
 
-    hashed = docs_ds.map_batches(
-        _hash_prefix_batch, fn_kwargs={"prefix_len": prefix_len},
-        batch_format="pyarrow",
-    )
-    parts = _write_generation(hashed, store_dir, gen=1)
-    meta = {"format": 1, "generation": 1, "prefix_len": prefix_len,
-            "partitions": parts}
-    _write_meta(store_dir, meta)
-    vacuum_hash_store(store_dir)
+        hashed = docs_ds.map_batches(
+            _hash_prefix_batch, fn_kwargs={"prefix_len": prefix_len},
+            batch_format="pyarrow",
+        )
+        parts = _write_generation(hashed, store_dir, gen=1)
+        meta = {"format": 1, "generation": 1, "prefix_len": prefix_len,
+                "partitions": parts}
+        _publish(store_dir, meta)
     return meta
 
 
@@ -132,16 +127,10 @@ def _write_generation(hashed_ds, store_dir: str, gen: int,
     boundaries) and harmless for membership semantics.
     Returns {prefix: [relpaths]}."""
     import numpy as np
-    import pyarrow.parquet as pq
-
-    os.makedirs(os.path.join(store_dir, "parts"), exist_ok=True)
-    empty = pa.Table.from_pydict(
-        {"p": pa.array([], pa.string()), "rel": pa.array([], pa.string())}
-    )
 
     def write_block(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return empty
+            return _rel_rows([], [])
         pa.set_cpu_count(1)
         t = t.combine_chunks()
         pcol = np.asarray(t.column("p"))
@@ -151,20 +140,11 @@ def _write_generation(hashed_ds, store_dir: str, gen: int,
         stops = np.concatenate((bounds, [len(pcol)]))
         ps, rels = [], []
         for s, e in zip(starts, stops):
-            prefix = pcol[s]
             h = pc.unique(pc.cast(t.slice(s, e - s).column("h"), pa.string()))
-            for off in range(0, len(h), rows_per_file):
-                rel = os.path.join("parts", "%s-g%d-%s.parquet" % (
-                    prefix, gen, uuid.uuid4().hex[:8]))
-                tmp = os.path.join(store_dir, rel + ".tmp")
-                pq.write_table(
-                    pa.table({"h": h.slice(off, rows_per_file)}), tmp)
-                os.replace(tmp, os.path.join(store_dir, rel))
-                ps.append(prefix)
-                rels.append(rel)
-        return pa.Table.from_pydict(
-            {"p": pa.array(ps, pa.string()), "rel": pa.array(rels, pa.string())}
-        )
+            new = _write_hash_files(store_dir, pcol[s], "g%d" % gen, h, rows_per_file)
+            ps += [pcol[s]] * len(new)
+            rels += new
+        return _rel_rows(ps, rels)
 
     rows = (
         hashed_ds.select_columns(["h", "p"])
@@ -178,34 +158,45 @@ def _write_generation(hashed_ds, store_dir: str, gen: int,
     return parts
 
 
+def _write_hash_files(store_dir: str, prefix: str, tag: str, h, rows_per_file: int) -> list:
+    """One prefix's distinct hashes ``h`` as bounded-size files
+    ``parts/<prefix>-<tag>-<uuid>.parquet``; returns their relpaths."""
+    import pyarrow.parquet as pq
+
+    rels = []
+    for off in range(0, len(h), rows_per_file):
+        rel = os.path.join("parts", "%s-%s-%s.parquet" % (prefix, tag, uuid.uuid4().hex[:8]))
+        chunk = pa.table({"h": h.slice(off, rows_per_file)})
+        store_commit.atomic_write(os.path.join(store_dir, rel),
+                                  lambda tmp: pq.write_table(chunk, tmp))
+        rels.append(rel)
+    return rels
+
+
+def _rel_rows(ps: list, rels: list) -> pa.Table:
+    return pa.Table.from_pydict(
+        {"p": pa.array(ps, pa.string()), "rel": pa.array(rels, pa.string())}
+    )
+
+
 def vacuum_hash_store(store_dir: str) -> int:
     """Unlink every file under parts/ that the CURRENT manifest does
     not reference (stale generations from a rebuild, superseded
     compaction inputs, .tmp orphans of a crashed writer).  Returns the
-    number of files removed.
+    number of files removed."""
+    with store_commit.writer_lock(store_dir):
+        return len(_vacuum(store_dir, _current_meta(store_dir)))
 
-    Concurrency contract (same as ``layout.zorder`` vacuum): the store
-    is single-writer, and a reader must resolve the manifest to file
-    paths per scan — a reader that caches paths across a writer's
-    swap+vacuum may lose files mid-read."""
-    meta = _read_meta(store_dir)
-    referenced = {
-        os.path.normpath(rel)
-        for rels in meta["partitions"].values()
-        for rel in rels
-    }
-    parts_dir = os.path.join(store_dir, "parts")
-    removed = 0
-    if not os.path.isdir(parts_dir):
-        return 0
-    for root, _dirs, files in os.walk(parts_dir):
-        for fn in files:
-            full = os.path.join(root, fn)
-            rel = os.path.normpath(os.path.relpath(full, store_dir))
-            if rel not in referenced:
-                os.unlink(full)
-                removed += 1
-    return removed
+
+def _vacuum(store_dir: str, meta: dict) -> list:
+    referenced = [rel for rels in meta["partitions"].values() for rel in rels]
+    return store_commit.vacuum(store_dir, "parts", referenced)
+
+
+def _publish(store_dir: str, meta: dict) -> None:
+    """Swap in ``meta``, then vacuum what it no longer references."""
+    store_commit.publish_manifest(store_dir, _META, meta)
+    _vacuum(store_dir, meta)
 
 
 def compact_hash_store(store_dir: str, max_files_per_prefix: int = 4,
@@ -226,49 +217,43 @@ def compact_hash_store(store_dir: str, max_files_per_prefix: int = 4,
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    meta = _read_meta(store_dir)
-    todo = sorted(
-        p for p, rels in meta["partitions"].items()
-        if len(rels) > max_files_per_prefix
-    )
-    if not todo:
-        return meta
-    files_by_prefix = {p: _store_files(store_dir, meta, [p]) for p in todo}
-
-    def compact_prefix(batch: pa.Table) -> pa.Table:
-        pa.set_cpu_count(1)
-        ps, rels = [], []
-        for prefix in batch.column("p").to_pylist():
-            tabs = [pq.read_table(f, columns=["h"]) for f in files_by_prefix[prefix]]
-            h = pc.unique(pc.cast(pa.concat_tables(tabs).column("h"), pa.string()))
-            for off in range(0, len(h), rows_per_file):
-                rel = os.path.join("parts", "%s-c%d-%s.parquet" % (
-                    prefix, meta["generation"], uuid.uuid4().hex[:8]))
-                tmp = os.path.join(store_dir, rel + ".tmp")
-                pq.write_table(pa.table({"h": h.slice(off, rows_per_file)}), tmp)
-                os.replace(tmp, os.path.join(store_dir, rel))
-                ps.append(prefix)
-                rels.append(rel)
-        return pa.Table.from_pydict(
-            {"p": pa.array(ps, pa.string()), "rel": pa.array(rels, pa.string())}
+    with store_commit.writer_lock(store_dir):
+        meta = _current_meta(store_dir)
+        todo = sorted(
+            p for p, rels in meta["partitions"].items()
+            if len(rels) > max_files_per_prefix
         )
+        if not todo:
+            return meta
+        files_by_prefix = {p: _store_files(store_dir, meta, [p]) for p in todo}
 
-    rows = (
-        rd.from_items([{"p": p} for p in todo])
-        .map_batches(compact_prefix, batch_format="pyarrow", batch_size=1)
-        .to_pandas()
-    )
-    partitions = {p: list(rels) for p, rels in meta["partitions"].items()}
-    for p in todo:
-        partitions[p] = []
-    for p, rel in zip(rows["p"], rows["rel"]):
-        partitions[p].append(rel)
-    new_meta = {"format": 1, "generation": meta["generation"],
-                "prefix_len": int(meta.get("prefix_len", 2)),
-                "partitions": partitions}
-    _write_meta(store_dir, new_meta)
-    vacuum_hash_store(store_dir)
-    return new_meta
+        def compact_prefix(batch: pa.Table) -> pa.Table:
+            pa.set_cpu_count(1)
+            ps, rels = [], []
+            for prefix in batch.column("p").to_pylist():
+                tabs = [pq.read_table(f, columns=["h"]) for f in files_by_prefix[prefix]]
+                h = pc.unique(pc.cast(pa.concat_tables(tabs).column("h"), pa.string()))
+                new = _write_hash_files(store_dir, prefix, "c%d" % meta["generation"],
+                                        h, rows_per_file)
+                ps += [prefix] * len(new)
+                rels += new
+            return _rel_rows(ps, rels)
+
+        rows = (
+            rd.from_items([{"p": p} for p in todo])
+            .map_batches(compact_prefix, batch_format="pyarrow", batch_size=1)
+            .to_pandas()
+        )
+        partitions = {p: list(rels) for p, rels in meta["partitions"].items()}
+        for p in todo:
+            partitions[p] = []
+        for p, rel in zip(rows["p"], rows["rel"]):
+            partitions[p].append(rel)
+        new_meta = {"format": 1, "generation": meta["generation"],
+                    "prefix_len": int(meta.get("prefix_len", 2)),
+                    "partitions": partitions}
+        _publish(store_dir, new_meta)
+        return new_meta
 
 
 def incremental_exact_dedup(new_docs_ds, store_dir: str, commit: bool = False):
@@ -280,71 +265,69 @@ def incremental_exact_dedup(new_docs_ds, store_dir: str, commit: bool = False):
     generation and swaps the manifest (append-only membership; crash
     before the swap leaves the old snapshot; the survivors Dataset is
     materialized first so the caller's result and the committed set
-    cannot diverge)."""
+    cannot diverge).  A committing call holds the store's writer lock
+    throughout, so concurrent commits serialize and each dedups
+    against the hashes the other committed."""
     import ray.data as rd
     from ray.data.aggregate import Min
 
     from ..sources.io import read_parquet as read_parquet_clean
     from .join import bucketed_hash_join
 
-    if not hash_store_is_complete(store_dir):
-        raise FileNotFoundError(
-            "hash store at %s is absent or incomplete — build it with "
-            "persist_hash_store first" % store_dir
-        )
-    meta = _read_meta(store_dir)
-    prefix_len = int(meta.get("prefix_len", 2))
+    with store_commit.writer_lock(store_dir) if commit else contextlib.nullcontext():
+        meta = _current_meta(store_dir)
+        prefix_len = int(meta.get("prefix_len", 2))
 
-    hashed = new_docs_ds.map_batches(
-        _hash_prefix_batch, fn_kwargs={"prefix_len": prefix_len},
-        batch_format="pyarrow",
-    ).materialize()  # thin (doc_id, h, p) rows: consumed 2-3 times
-
-    # drop-internal keep-first: hash-keyed exchange of hash rows only
-    keepers = hashed.groupby("h").aggregate(Min("doc_id", alias_name="doc_id"))
-
-    # prune the store read to the prefixes this drop actually touches
-    from ray.data.aggregate import Count
-
-    prefixes = sorted(
-        r["p"]
-        for r in hashed.map_batches(
-            lambda t: pa.Table.from_pydict({"p": pc.unique(t.column("p"))}),
+        hashed = new_docs_ds.map_batches(
+            _hash_prefix_batch, fn_kwargs={"prefix_len": prefix_len},
             batch_format="pyarrow",
-        )
-        .groupby("p")
-        .aggregate(Count(alias_name="_n"))
-        .take_all()
-    )
-    paths = _store_files(store_dir, meta, prefixes)
-    if paths:
-        store_hashes = read_parquet_clean(paths, columns=["h"])
-        survivors = bucketed_hash_join(
-            keepers, store_hashes, "h", how="anti",
-            left_schema=pa.schema([("h", pa.string()), ("doc_id", pa.int64())]),
-            right_schema=pa.schema([("h", pa.string())]),
-        )
-    else:  # brand-new prefixes only: nothing to check against
-        survivors = keepers
-    survivors = survivors.select_columns(["doc_id", "h"]).materialize()
+        ).materialize()  # thin (doc_id, h, p) rows: consumed 2-3 times
 
-    if commit and survivors.count() > 0:
-        gen = meta["generation"] + 1
-        with_prefix = survivors.map_batches(
-            lambda t: t.append_column(
-                "p", pc.utf8_slice_codeunits(
-                    pc.cast(t.column("h"), pa.string()), 0, prefix_len
-                )
-            ),
-            batch_format="pyarrow",
+        # drop-internal keep-first: hash-keyed exchange of hash rows only
+        keepers = hashed.groupby("h").aggregate(Min("doc_id", alias_name="doc_id"))
+
+        # prune the store read to the prefixes this drop actually touches
+        from ray.data.aggregate import Count
+
+        prefixes = sorted(
+            r["p"]
+            for r in hashed.map_batches(
+                lambda t: pa.Table.from_pydict({"p": pc.unique(t.column("p"))}),
+                batch_format="pyarrow",
+            )
+            .groupby("p")
+            .aggregate(Count(alias_name="_n"))
+            .take_all()
         )
-        new_parts = _write_generation(with_prefix, store_dir, gen)
-        partitions = {p: list(rels) for p, rels in meta["partitions"].items()}
-        for p, rels in new_parts.items():
-            partitions.setdefault(p, []).extend(rels)
-        _write_meta(store_dir, {
-            "format": 1, "generation": gen, "prefix_len": prefix_len,
-            "partitions": partitions,
-        })
-        vacuum_hash_store(store_dir)  # clears orphans of any crashed commit
-    return survivors
+        paths = _store_files(store_dir, meta, prefixes)
+        if paths:
+            store_hashes = read_parquet_clean(paths, columns=["h"])
+            survivors = bucketed_hash_join(
+                keepers, store_hashes, "h", how="anti",
+                left_schema=pa.schema([("h", pa.string()), ("doc_id", pa.int64())]),
+                right_schema=pa.schema([("h", pa.string())]),
+            )
+        else:  # brand-new prefixes only: nothing to check against
+            survivors = keepers
+        survivors = survivors.select_columns(["doc_id", "h"]).materialize()
+
+        if commit and survivors.count() > 0:
+            gen = meta["generation"] + 1
+            with_prefix = survivors.map_batches(
+                lambda t: t.append_column(
+                    "p", pc.utf8_slice_codeunits(
+                        pc.cast(t.column("h"), pa.string()), 0, prefix_len
+                    )
+                ),
+                batch_format="pyarrow",
+            )
+            new_parts = _write_generation(with_prefix, store_dir, gen)
+            partitions = {p: list(rels) for p, rels in meta["partitions"].items()}
+            for p, rels in new_parts.items():
+                partitions.setdefault(p, []).extend(rels)
+            # the vacuum clears orphans of any crashed commit
+            _publish(store_dir, {
+                "format": 1, "generation": gen, "prefix_len": prefix_len,
+                "partitions": partitions,
+            })
+        return survivors

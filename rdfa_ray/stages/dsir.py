@@ -48,6 +48,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.hashing import splitmix64
+
 N_BUCKETS = 65536  # 16 bits = 4 hex chars of md5
 _QUANT = 1_000_000.0
 
@@ -237,18 +239,8 @@ def dsir_log_weights(docs_ds, is_target_col: str = "is_target"):
     return docs_ds.map_batches(score, batch_format="pandas")
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Deterministic 64-bit mix (public splitmix64 constants) —
-    vectorized uniform hash for the Gumbel noise; numpy end to end,
-    no per-row Python."""
-    z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
 def _gumbel_key(doc_ids: np.ndarray, logw_micro: np.ndarray, seed: int) -> np.ndarray:
-    h = _splitmix64(doc_ids.astype(np.uint64) ^ np.uint64(seed * 0x5851F42D4C957F2D % (1 << 64)))
+    h = splitmix64(doc_ids.astype(np.uint64) ^ np.uint64(seed * 0x5851F42D4C957F2D % (1 << 64)))
     # (h+1)/(2^64+2) in (0,1) exclusive
     u = (h.astype(np.float64) + 1.0) / 18446744073709551618.0
     g = -np.log(-np.log(u))

@@ -24,10 +24,11 @@ table format would (manifest-swapped partition generations):
   manifest reading the old snapshot (snapshot isolation for free).
 
 The ``_meta.json`` manifest doubles as the completeness sentinel: it
-is the LAST artifact written (atomically, tmp+rename) on both build
-and update — a store without it is invisible and gets rebuilt; stale
-generation directories are unreferenced, not corrupting (same contract
-as stages/ann_index.py).
+is the LAST artifact published on both build and update — a store
+without it is invisible and gets rebuilt; stale generation directories
+are unreferenced, not corrupting.  Every writer (build, update, clear,
+graph transforms, vacuum) runs under the store's single-writer lock;
+the commit protocol lives in ``state/commit.py``.
 
 At cluster scale the store build is the only full-data pass; a BGP
 whose patterns bind 2 of 40 predicates opens 2/40ths of the files, and
@@ -36,12 +37,12 @@ a vocabulary-migration update touching one predicate rewrites 1/40th.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 
 import pyarrow as pa
 from ..sources.io import read_parquet as read_parquet_clean
+from ..state import commit
 
 _META = "_meta.json"
 _PRED_TOKEN_RE = re.compile(r"[^A-Za-z0-9]+")
@@ -59,20 +60,22 @@ def pred_key(pred: str) -> str:
     return (token or "p")[:48]
 
 
+def store_meta(store_dir: str) -> dict | None:
+    """The current manifest, or ``None`` when the store is absent or
+    incomplete — including an older layout format, which callers
+    rebuild rather than misread."""
+    return commit.read_manifest(store_dir, _META, 2)
+
+
 def store_is_complete(store_dir: str) -> bool:
-    """The manifest doubles as the build/update-complete sentinel: it
-    is the LAST artifact written (atomically).  A manifest of an older
-    layout format counts as incomplete — callers rebuild rather than
-    silently misread a foreign generation scheme (the same fail-loud
-    rule the flagship's resume meta guard follows)."""
-    path = os.path.join(store_dir, _META)
-    if not os.path.exists(path):
-        return False
-    try:
-        with open(path) as f:
-            return json.load(f).get("format") == 2
-    except (OSError, ValueError):
-        return False
+    return store_meta(store_dir) is not None
+
+
+def _current_meta(store_dir: str) -> dict:
+    meta = store_meta(store_dir)
+    if meta is None:
+        raise FileNotFoundError("KG store at %s is absent or incomplete" % store_dir)
+    return meta
 
 
 def store_has_graph(store_dir: str) -> bool:
@@ -81,7 +84,7 @@ def store_has_graph(store_dir: str) -> bool:
     before the flag existed) fall back to sniffing one partition file's
     schema.  An empty store with no recorded form reads as triple-form
     — the next insert's delta schema decides what it becomes."""
-    meta = _read_meta(store_dir)
+    meta = _current_meta(store_dir)
     if "quads" in meta:
         return bool(meta["quads"])
     return _sniff_quads(store_dir, meta["partitions"])
@@ -97,18 +100,6 @@ def _sniff_quads(store_dir: str, partitions: dict) -> bool:
     return bool(paths) and "graph" in pq.read_schema(paths[0]).names
 
 
-def _read_meta(store_dir: str) -> dict:
-    with open(os.path.join(store_dir, _META)) as f:
-        return json.load(f)
-
-
-def _write_meta(store_dir: str, meta: dict) -> None:
-    tmp = os.path.join(store_dir, _META + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, os.path.join(store_dir, _META))
-
-
 def _add_key(batch: pa.Table) -> pa.Table:
     import pyarrow.compute as pc
 
@@ -122,30 +113,19 @@ def _add_key(batch: pa.Table) -> pa.Table:
     )
     keys = pa.array([pred_key(p) for p in enc.dictionary.to_pylist()], pa.string())
     col = pa.DictionaryArray.from_arrays(enc.indices, keys).cast(pa.string())
-    # extra columns (e.g. a named-graph column -> a quad store) pass
-    # through untouched; only the triple columns are canonicalized
-    extra = {
-        c: batch.column(c) for c in batch.column_names if c not in _COLS
-    }
-    def filled(c):
-        # null term slots normalize to '' exactly like update_kg's
-        # norm(): otherwise a persisted null-graph row packs to a null
-        # set-key and can never be matched by a later DELETE
-        cast = pc.cast(batch.column(c), pa.string())
-        return pc.fill_null(cast, "")
 
-    return pa.Table.from_pydict(
-        {
-            **{c: filled(c) for c in _COLS},
-            **{
-                c: (filled(c) if pa.types.is_string(batch.column(c).type)
-                    or pa.types.is_large_string(batch.column(c).type)
-                    else v)
-                for c, v in extra.items()
-            },
-            "pred_key": col,
-        }
-    )
+    def column(c):
+        v = batch.column(c)
+        text = pa.types.is_string(v.type) or pa.types.is_large_string(v.type)
+        if c in _COLS or (c == "graph" and text):
+            # null term slots normalize to '' exactly like update_kg's
+            # norm(): otherwise a persisted null-graph row packs to a
+            # null set-key and can never be matched by a later DELETE
+            return pc.fill_null(pc.cast(v, pa.string()), "")
+        return v  # other payload columns pass through, nulls included
+
+    names = [*_COLS, *(c for c in batch.column_names if c not in _COLS)]
+    return pa.Table.from_pydict({**{c: column(c) for c in names}, "pred_key": col})
 
 
 def _write_generation(keyed_ds, store_dir: str, gen: int) -> dict:
@@ -166,14 +146,27 @@ def _write_generation(keyed_ds, store_dir: str, gen: int) -> dict:
             continue
         token = d.split("=", 1)[1]
         rel = os.path.join("parts", "%s-g%d" % (token, gen))
-        dst = os.path.join(store_dir, rel)
-        if os.path.isdir(dst):
-            shutil.rmtree(dst)
-        os.makedirs(os.path.dirname(dst), exist_ok=True)
-        os.replace(os.path.join(staging, d), dst)
+        commit.move(os.path.join(staging, d), os.path.join(store_dir, rel))
         parts[token] = rel
     shutil.rmtree(staging)
     return parts
+
+
+def _repoint(partitions: dict, touched, new_parts: dict) -> dict:
+    """Untouched partitions carried by reference; a touched one whose
+    rewrite came out empty is dropped."""
+    out = {t: rel for t, rel in partitions.items() if t not in touched}
+    out.update(new_parts)
+    return out
+
+
+def _publish(store_dir: str, gen: int, partitions: dict, quads) -> dict:
+    """Swap in generation ``gen``'s manifest — LAST: callers key "store
+    complete" off it, so it must not exist before the partition writes
+    completed."""
+    meta = {"format": 2, "generation": gen, "partitions": partitions, "quads": bool(quads)}
+    commit.publish_manifest(store_dir, _META, meta)
+    return meta
 
 
 def _partition_files(store_dir: str, partitions: dict, tokens) -> list:
@@ -198,34 +191,28 @@ def persist_kg(triples_ds, store_dir: str) -> dict:
     import shutil
 
     os.makedirs(store_dir, exist_ok=True)
-    # a previous crashed build (no manifest) may have left partial
-    # generation dirs; clear them so the rebuild can't mix generations.
-    # Over a COMPLETE store, build into a FRESH generation instead —
-    # rewriting gen-1 dirs in place would destroy the live snapshot the
-    # still-valid old manifest points at (a crash mid-build would leave
-    # store_is_complete()==True over mixed old/new data).
-    if not store_is_complete(store_dir):
-        gen = 1
-        for d in ("parts", "triples"):
-            p = os.path.join(store_dir, d)
-            if os.path.isdir(p):
-                shutil.rmtree(p)
-    else:
-        gen = _read_meta(store_dir)["generation"] + 1
+    with commit.writer_lock(store_dir):
+        # a previous crashed build (no manifest) may have left partial
+        # generation dirs; clear them so the rebuild can't mix
+        # generations.  Over a COMPLETE store, build into a FRESH
+        # generation instead — rewriting gen-1 dirs in place would
+        # destroy the live snapshot the still-valid old manifest points
+        # at (a crash mid-build would leave a complete-looking store
+        # over mixed old/new data).
+        old = store_meta(store_dir)
+        if old is None:
+            gen = 1
+            for d in ("parts", "triples"):
+                p = os.path.join(store_dir, d)
+                if os.path.isdir(p):
+                    shutil.rmtree(p)
+        else:
+            gen = old["generation"] + 1
 
-    parts = _write_generation(
-        triples_ds.map_batches(_add_key, batch_format="pyarrow"), store_dir, gen
-    )
-    meta = {
-        "format": 2,
-        "generation": gen,
-        "partitions": parts,
-        "quads": _sniff_quads(store_dir, parts),
-    }
-    # manifest LAST: callers key "store already built" off this file,
-    # so it must not exist before the partition writes completed
-    _write_meta(store_dir, meta)
-    return meta
+        parts = _write_generation(
+            triples_ds.map_batches(_add_key, batch_format="pyarrow"), store_dir, gen
+        )
+        return _publish(store_dir, gen, parts, _sniff_quads(store_dir, parts))
 
 
 def update_kg(store_dir: str, insert_ds=None, delete_ds=None, quads=None) -> dict:
@@ -249,115 +236,105 @@ def update_kg(store_dir: str, insert_ds=None, delete_ds=None, quads=None) -> dic
     from .distinct import distinct
     from .graphops import graph_difference
 
-    meta = _read_meta(store_dir)
-    gen = meta["generation"] + 1
-    # each delta's lineage is consumed twice (predicate collection +
-    # the merge); pin the key-sized delta rows once
-    if insert_ds is not None:
-        insert_ds = insert_ds.materialize()
-    if delete_ds is not None:
-        delete_ds = delete_ds.materialize()
+    with commit.writer_lock(store_dir):
+        meta = _current_meta(store_dir)
+        gen = meta["generation"] + 1
+        # each delta's lineage is consumed twice (predicate collection +
+        # the merge); pin the key-sized delta rows once
+        if insert_ds is not None:
+            insert_ds = insert_ds.materialize()
+        if delete_ds is not None:
+            delete_ds = delete_ds.materialize()
 
-    def delta_keys(ds):
-        if ds is None:
-            return set()
+        def delta_keys(ds):
+            if ds is None:
+                return set()
 
-        def uniq(b: pa.Table) -> pa.Table:
-            # an empty upstream block may arrive schemaless
-            if "pred" not in b.column_names:
-                return pa.Table.from_pydict({"pred": pa.array([], pa.string())})
-            return pa.Table.from_pydict(
-                {"pred": pc.unique(pc.cast(b.column("pred"), pa.string()))}
-            )
+            def uniq(b: pa.Table) -> pa.Table:
+                # an empty upstream block may arrive schemaless
+                if "pred" not in b.column_names:
+                    return pa.Table.from_pydict({"pred": pa.array([], pa.string())})
+                return pa.Table.from_pydict(
+                    {"pred": pc.unique(pc.cast(b.column("pred"), pa.string()))}
+                )
 
-        df = ds.map_batches(uniq, batch_format="pyarrow").to_pandas()
-        if "pred" not in df.columns:  # zero-block dataset
-            return set()
-        return {pred_key(p) for p in df["pred"].unique()}
+            df = ds.map_batches(uniq, batch_format="pyarrow").to_pandas()
+            if "pred" not in df.columns:  # zero-block dataset
+                return set()
+            return {pred_key(p) for p in df["pred"].unique()}
 
-    touched = sorted(delta_keys(insert_ds) | delta_keys(delete_ds))
-    if not touched:
-        return meta
+        touched = sorted(delta_keys(insert_ds) | delta_keys(delete_ds))
+        if not touched:
+            return meta
 
-    if quads is None:
-        quads = store_has_graph(store_dir)
-    elif meta["partitions"] and bool(quads) != store_has_graph(store_dir):
-        # a forced form that contradicts a NON-EMPTY store must refuse
-        # even when every delta predicate is new — otherwise the delta
-        # writes partitions of the other shape next to the existing
-        # ones and flips the recorded form (silent schema widening)
-        raise ValueError(
-            "update_kg(quads=%r) against a non-empty %s store — the row"
-            " shapes are incompatible; rebuild via persist_kg"
-            % (quads, "quad" if store_has_graph(store_dir) else "triple")
-        )
-    cols = list(_QCOLS) if quads else list(_COLS)
-
-    # current rows of ONLY the touched partitions (pruned read)
-    paths = _partition_files(
-        store_dir, meta["partitions"], [t for t in touched if t in meta["partitions"]]
-    )
-    if paths:
-        import pyarrow.parquet as pq
-
-        extra = set(pq.read_schema(paths[0]).names) - set(cols)
-        if extra:
+        if quads is None:
+            quads = store_has_graph(store_dir)
+        elif meta["partitions"] and bool(quads) != store_has_graph(store_dir):
+            # a forced form that contradicts a NON-EMPTY store must refuse
+            # even when every delta predicate is new — otherwise the delta
+            # writes partitions of the other shape next to the existing
+            # ones and flips the recorded form (silent schema widening)
             raise ValueError(
-                "store rows carry columns %s beyond the %s layout this"
-                " update targets — a quad delta cannot apply to a"
-                " triple store (and vice versa); rebuild via persist_kg"
-                % (sorted(extra), "quad" if quads else "triple")
+                "update_kg(quads=%r) against a non-empty %s store — the row"
+                " shapes are incompatible; rebuild via persist_kg"
+                % (quads, "quad" if store_has_graph(store_dir) else "triple")
+            )
+        cols = list(_QCOLS) if quads else list(_COLS)
+
+        # current rows of ONLY the touched partitions (pruned read)
+        paths = _partition_files(
+            store_dir, meta["partitions"], [t for t in touched if t in meta["partitions"]]
+        )
+        if paths:
+            import pyarrow.parquet as pq
+
+            extra = set(pq.read_schema(paths[0]).names) - set(cols)
+            if extra:
+                raise ValueError(
+                    "store rows carry columns %s beyond the %s layout this"
+                    " update targets — a quad delta cannot apply to a"
+                    " triple store (and vice versa); rebuild via persist_kg"
+                    % (sorted(extra), "quad" if quads else "triple")
+                )
+
+        def norm(b: pa.Table) -> pa.Table:
+            # an empty upstream block may arrive schemaless (same hazard
+            # delta_keys' uniq defends against)
+            if b.num_rows == 0:
+                return pa.Table.from_pydict(
+                    {c: pa.array([], pa.string()) for c in cols}
+                )
+            # quad mode: a graph-less delta lands in the default graph ''
+            out = {}
+            for c in cols:
+                if c == "graph" and "graph" not in b.column_names:
+                    out[c] = pa.nulls(b.num_rows, pa.string()).fill_null("")
+                else:
+                    out[c] = pc.fill_null(pc.cast(b.column(c), pa.string()), "")
+            return pa.Table.from_pydict(out)
+
+        if paths:
+            current = read_parquet_clean(paths, columns=cols)
+        else:
+            current = rd.from_arrow(
+                pa.Table.from_pydict({c: pa.array([], pa.string()) for c in cols})
             )
 
-    def norm(b: pa.Table) -> pa.Table:
-        # an empty upstream block may arrive schemaless (same hazard
-        # delta_keys' uniq defends against)
-        if b.num_rows == 0:
-            return pa.Table.from_pydict(
-                {c: pa.array([], pa.string()) for c in cols}
+        updated = current
+        if delete_ds is not None:
+            # one bucketed anti join, key-sized rows on the delete side
+            updated = graph_difference(
+                updated, delete_ds.map_batches(norm, batch_format="pyarrow"),
+                cols=tuple(cols),
             )
-        # quad mode: a graph-less delta lands in the default graph ''
-        out = {}
-        for c in cols:
-            if c == "graph" and "graph" not in b.column_names:
-                out[c] = pa.nulls(b.num_rows, pa.string()).fill_null("")
-            else:
-                out[c] = pc.fill_null(pc.cast(b.column(c), pa.string()), "")
-        return pa.Table.from_pydict(out)
+        if insert_ds is not None:
+            ins = insert_ds.map_batches(norm, batch_format="pyarrow")
+            updated = distinct(updated.union(ins), cols)
 
-    if paths:
-        current = read_parquet_clean(paths, columns=cols)
-    else:
-        current = rd.from_arrow(
-            pa.Table.from_pydict({c: pa.array([], pa.string()) for c in cols})
+        new_parts = _write_generation(
+            updated.map_batches(_add_key, batch_format="pyarrow"), store_dir, gen
         )
-
-    updated = current
-    if delete_ds is not None:
-        # one bucketed anti join, key-sized rows on the delete side
-        updated = graph_difference(
-            updated, delete_ds.map_batches(norm, batch_format="pyarrow"),
-            cols=tuple(cols),
-        )
-    if insert_ds is not None:
-        ins = insert_ds.map_batches(norm, batch_format="pyarrow")
-        updated = distinct(updated.union(ins), cols)
-
-    new_parts = _write_generation(
-        updated.map_batches(_add_key, batch_format="pyarrow"), store_dir, gen
-    )
-    partitions = dict(meta["partitions"])
-    for t in touched:
-        partitions.pop(t, None)  # delta may have emptied the partition
-    partitions.update(new_parts)
-    meta = {
-        "format": 2,
-        "generation": gen,
-        "partitions": partitions,
-        "quads": bool(quads),
-    }
-    _write_meta(store_dir, meta)
-    return meta
+        return _publish(store_dir, gen, _repoint(meta["partitions"], touched, new_parts), quads)
 
 
 def clear_kg(store_dir: str) -> dict:
@@ -365,15 +342,10 @@ def clear_kg(store_dir: str) -> dict:
     partitions (a new, empty generation).  The old generation
     directories stay on disk for crash safety / time travel until
     ``vacuum_store``."""
-    meta = _read_meta(store_dir)
-    meta = {
-        "format": 2,
-        "generation": meta["generation"] + 1,
-        "partitions": {},
-        "quads": meta.get("quads", False),  # an emptied store keeps its form
-    }
-    _write_meta(store_dir, meta)
-    return meta
+    with commit.writer_lock(store_dir):
+        meta = _current_meta(store_dir)
+        # an emptied store keeps its form
+        return _publish(store_dir, meta["generation"] + 1, {}, meta.get("quads", False))
 
 
 def transform_graphs(store_dir: str, affected, rewrite) -> dict:
@@ -402,83 +374,61 @@ def transform_graphs(store_dir: str, affected, rewrite) -> dict:
     import pyarrow.compute as pc
     import ray.data as rd
 
-    meta = _read_meta(store_dir)
-    if not store_has_graph(store_dir):
-        raise ValueError(
-            "graph management needs a quad store (rows with a 'graph'"
-            " column); this store at %s is triple-form" % store_dir
+    with commit.writer_lock(store_dir):
+        meta = _current_meta(store_dir)
+        if not store_has_graph(store_dir):
+            raise ValueError(
+                "graph management needs a quad store (rows with a 'graph'"
+                " column); this store at %s is triple-form" % store_dir
+            )
+        gen = meta["generation"] + 1
+        partitions = meta["partitions"]
+        all_paths = _partition_files(store_dir, partitions, sorted(partitions))
+        if not all_paths:
+            return meta
+
+        # pass 1: (pred, graph)-only prune scan -> touched pred_keys
+        def hit_preds(b: pa.Table) -> pa.Table:
+            g = pc.fill_null(pc.cast(b.column("graph"), pa.string()), "")
+            hits = b.filter(affected(g))
+            return pa.Table.from_pydict(
+                {"pred": pc.unique(pc.cast(hits.column("pred"), pa.string()))}
+            )
+
+        df = (
+            read_parquet_clean(all_paths, columns=["pred", "graph"])
+            .map_batches(hit_preds, batch_format="pyarrow")
+            .to_pandas()
         )
-    gen = meta["generation"] + 1
-    partitions = meta["partitions"]
-    all_paths = _partition_files(store_dir, partitions, sorted(partitions))
-    if not all_paths:
-        return meta
-
-    # pass 1: (pred, graph)-only prune scan -> touched pred_keys
-    def hit_preds(b: pa.Table) -> pa.Table:
-        g = pc.fill_null(pc.cast(b.column("graph"), pa.string()), "")
-        hits = b.filter(affected(g))
-        return pa.Table.from_pydict(
-            {"pred": pc.unique(pc.cast(hits.column("pred"), pa.string()))}
+        touched = (
+            sorted({pred_key(p) for p in df["pred"].unique()})
+            if "pred" in df.columns and len(df)
+            else []
         )
+        touched = [t for t in touched if t in partitions]
+        if not touched:
+            return meta
 
-    df = (
-        read_parquet_clean(all_paths, columns=["pred", "graph"])
-        .map_batches(hit_preds, batch_format="pyarrow")
-        .to_pandas()
-    )
-    touched = (
-        sorted({pred_key(p) for p in df["pred"].unique()})
-        if "pred" in df.columns and len(df)
-        else []
-    )
-    touched = [t for t in touched if t in partitions]
-    if not touched:
-        return meta
-
-    # pass 2: rewrite ONLY the touched partitions, map-side
-    paths = _partition_files(store_dir, partitions, touched)
-    updated = read_parquet_clean(paths, columns=list(_QCOLS)).map_batches(
-        rewrite, batch_format="pyarrow"
-    )
-    new_parts = _write_generation(
-        updated.map_batches(_add_key, batch_format="pyarrow"), store_dir, gen
-    )
-    partitions = dict(partitions)
-    for t in touched:
-        partitions.pop(t, None)  # rewrite may have emptied the partition
-    partitions.update(new_parts)
-    meta = {
-        "format": 2,
-        "generation": gen,
-        "partitions": partitions,
-        "quads": True,
-    }
-    _write_meta(store_dir, meta)
-    return meta
+        # pass 2: rewrite ONLY the touched partitions, map-side
+        paths = _partition_files(store_dir, partitions, touched)
+        updated = read_parquet_clean(paths, columns=list(_QCOLS)).map_batches(
+            rewrite, batch_format="pyarrow"
+        )
+        new_parts = _write_generation(
+            updated.map_batches(_add_key, batch_format="pyarrow"), store_dir, gen
+        )
+        return _publish(store_dir, gen, _repoint(partitions, touched, new_parts), True)
 
 
 def vacuum_store(store_dir: str) -> list:
     """Delete generation directories the current manifest no longer
     references (superseded partitions left behind by ``update_kg`` for
     crash safety / time travel).  Returns the removed relative paths.
-    Safe at any time: the manifest is the source of truth, and a
-    concurrent reader of the CURRENT snapshot only touches referenced
+    A concurrent reader of the CURRENT snapshot only touches referenced
     directories."""
-    import shutil
-
-    if not store_is_complete(store_dir):
-        raise FileNotFoundError("KG store at %s is absent or incomplete" % store_dir)
-    live = set(_read_meta(store_dir)["partitions"].values())
-    parts_dir = os.path.join(store_dir, "parts")
-    removed = []
-    if os.path.isdir(parts_dir):
-        for d in sorted(os.listdir(parts_dir)):
-            rel = os.path.join("parts", d)
-            if rel not in live:
-                shutil.rmtree(os.path.join(store_dir, rel))
-                removed.append(rel)
-    return removed
+    with commit.writer_lock(store_dir):
+        live = _current_meta(store_dir)["partitions"].values()
+        return commit.vacuum(store_dir, "parts", live)
 
 
 def read_kg(store_dir: str, preds=None, columns=None):
@@ -490,9 +440,7 @@ def read_kg(store_dir: str, preds=None, columns=None):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    if not store_is_complete(store_dir):
-        raise FileNotFoundError("KG store at %s is absent or incomplete" % store_dir)
-    meta = _read_meta(store_dir)
+    meta = _current_meta(store_dir)
     partitions = meta["partitions"]
 
     want = list(columns) if columns is not None else None

@@ -28,6 +28,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..state import commit
+
 
 def _spread_bits_16(x: np.ndarray, stride: int) -> np.ndarray:
     """Spread each of the 16 low bits of ``x`` ``stride`` positions
@@ -112,76 +114,61 @@ def zorder_layout(
     """Sort ``ds`` by the Morton key of ``cols`` and write one Parquet
     file per block plus ``_manifest/files.json`` carrying per-file
     min/max for every interleaved column (+ the domain pin).  Returns
-    the manifest dict."""
-    os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
+    the manifest dict.  Holds ``out_dir``'s writer lock throughout."""
+    os.makedirs(out_dir, exist_ok=True)
+    with commit.writer_lock(out_dir):
+        keyed = ds.map_batches(
+            lambda b: zorder_key(b, cols, domains, bits=bits), batch_format="pyarrow"
+        ).sort("zkey")
 
-    keyed = ds.map_batches(
-        lambda b: zorder_key(b, cols, domains, bits=bits), batch_format="pyarrow"
-    ).sort("zkey")
+        import pyarrow.parquet as pq
 
-    import pyarrow.parquet as pq
+        def write_block(batch: pa.Table, ctx=None) -> pa.Table:
+            if batch.num_rows == 0:
+                return pa.Table.from_pydict({"file": pa.array([], pa.string()),
+                                             "stats": pa.array([], pa.string())})
+            kmin = int(pa.compute.min(batch.column("zkey")).as_py())
+            kmax = int(pa.compute.max(batch.column("zkey")).as_py())
+            # unique suffix: after the range sort a run of duplicate keys
+            # can span block boundaries, so (kmin, kmax) alone can collide —
+            # two blocks would silently overwrite one file and drop manifest
+            # stats rows
+            name = "part-%020d-%020d-%s.parquet" % (kmin, kmax, uuid.uuid4().hex[:12])
+            pa.set_cpu_count(1)
+            commit.atomic_write(
+                os.path.join(out_dir, name),
+                lambda tmp: pq.write_table(batch.drop_columns(["zkey"]), tmp),
+            )
+            stats = {
+                c: [
+                    int(pa.compute.min(batch.column(c)).as_py()),
+                    int(pa.compute.max(batch.column(c)).as_py()),
+                ]
+                for c in cols
+            }
+            return pa.Table.from_pydict(
+                {"file": pa.array([name]), "stats": pa.array([json.dumps(stats)])}
+            )
 
-    def write_block(batch: pa.Table, ctx=None) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.Table.from_pydict({"file": pa.array([], pa.string()),
-                                         "stats": pa.array([], pa.string())})
-        kmin = int(pa.compute.min(batch.column("zkey")).as_py())
-        kmax = int(pa.compute.max(batch.column("zkey")).as_py())
-        # unique suffix: after the range sort a run of duplicate keys
-        # can span block boundaries, so (kmin, kmax) alone can collide —
-        # two blocks would silently overwrite one file and drop manifest
-        # stats rows
-        name = "part-%020d-%020d-%s.parquet" % (kmin, kmax, uuid.uuid4().hex[:12])
-        tmp = os.path.join(out_dir, "." + name + ".tmp")
-        pa.set_cpu_count(1)
-        pq.write_table(batch.drop_columns(["zkey"]), tmp)
-        os.replace(tmp, os.path.join(out_dir, name))
-        stats = {
-            c: [
-                int(pa.compute.min(batch.column(c)).as_py()),
-                int(pa.compute.max(batch.column(c)).as_py()),
-            ]
-            for c in cols
+        rows = keyed.map_batches(write_block, batch_format="pyarrow").to_pandas()
+        files = {}
+        for _, r in rows.iterrows():
+            if r["file"] in files:  # uuid suffix makes this unreachable; fail loud
+                raise RuntimeError("zorder_layout: duplicate output file %s" % r["file"])
+            files[r["file"]] = json.loads(r["stats"])
+        manifest = {
+            "cols": cols,
+            "bits": bits,
+            "domains": {c: list(domains[c]) for c in cols},
+            "files": files,
         }
-        return pa.Table.from_pydict(
-            {"file": pa.array([name]), "stats": pa.array([json.dumps(stats)])}
-        )
-
-    rows = keyed.map_batches(write_block, batch_format="pyarrow").to_pandas()
-    files = {}
-    for _, r in rows.iterrows():
-        if r["file"] in files:  # uuid suffix makes this unreachable; fail loud
-            raise RuntimeError("zorder_layout: duplicate output file %s" % r["file"])
-        files[r["file"]] = json.loads(r["stats"])
-    manifest = {
-        "cols": cols,
-        "bits": bits,
-        "domains": {c: list(domains[c]) for c in cols},
-        "files": files,
-    }
-    tmp = os.path.join(out_dir, "_manifest", ".files.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-    os.replace(tmp, os.path.join(out_dir, "_manifest", "files.json"))
-    # vacuum: uuid-suffixed block names mean a RE-run writes fresh
-    # files; readers only follow the manifest, so stale parts from a
-    # previous layout are invisible but grow the directory forever —
-    # drop every parquet the new manifest doesn't reference.
-    # Concurrency contract: SINGLE WRITER per layout dir, and a reader
-    # must resolve the manifest to file paths PER SCAN (zorder_prune
-    # re-opens it) — a reader that caches paths across a writer's
-    # swap+vacuum can lose files mid-read.  If concurrent long scans
-    # ever need to survive a re-layout, defer deletion (grace period
-    # or generation-suffixed directories) instead of vacuuming here;
-    # same contract as kgstore's and dedupstore's vacuums.
-    for name in os.listdir(out_dir):
-        if (
-            name.endswith(".parquet")
-            and not name.startswith(".")
-            and name not in files
-        ):
-            os.remove(os.path.join(out_dir, name))
-    return manifest
+        commit.publish_manifest(out_dir, "_manifest/files.json", manifest,
+                                indent=1, sort_keys=True)
+        # uuid-suffixed block names mean a RE-run writes fresh files;
+        # readers only follow the manifest, so stale parts from a previous
+        # layout are invisible but would grow the directory forever
+        commit.vacuum(out_dir, "", files)
+        return manifest
 
 
 def zorder_prune(out_dir: str, ranges: dict[str, tuple[int, int]]) -> list[str]:

@@ -22,18 +22,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.hashing import splitmix64
+
 _MAX64 = float(1 << 64)
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer (public-domain constants) —
-    uniform 64-bit mix for integer keys, pure numpy uint64 ops
-    (unsigned overflow wraps, which is exactly the mix semantics)."""
-    x = (x + np.uint64(0x9E3779B97F4A7C15)) & _MASK64
-    x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _MASK64
-    x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _MASK64
-    return x ^ (x >> np.uint64(31))
 
 
 def _hash_fractions(values) -> np.ndarray:
@@ -47,7 +38,7 @@ def _hash_fractions(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.dtype.kind in "iu":
         with np.errstate(over="ignore"):
-            return _splitmix64(arr.astype(np.uint64)) / _MAX64
+            return splitmix64(arr.astype(np.uint64)) / _MAX64
     try:
         import polars as pl
 
@@ -292,7 +283,7 @@ def _hll_registers(values, p: int) -> np.ndarray:
     arr = np.asarray(values)
     if arr.dtype.kind in "iu":
         with np.errstate(over="ignore"):
-            h = _splitmix64(arr.astype(np.uint64))
+            h = splitmix64(arr.astype(np.uint64))
     else:
         h = (_hash_fractions(values) * _MAX64).astype(np.uint64)
     idx = (h >> np.uint64(64 - p)).astype(np.int64)

@@ -4156,12 +4156,13 @@ def explain(query: str, store_dir: str | None = None) -> str:
 
     preds, prunable = _plan_pred_pushdown(plan)
     if store_dir is not None:
-        from .kgstore import _read_meta, pred_key, store_is_complete
+        from .kgstore import pred_key, store_meta
 
-        if not store_is_complete(store_dir):
+        meta = store_meta(store_dir)
+        if meta is None:
             lines.append("store: %s (absent/incomplete)" % store_dir)
         else:
-            parts = _read_meta(store_dir)["partitions"]
+            parts = meta["partitions"]
             if prunable:
                 hit = sorted({pred_key(p) for p in preds} & set(parts))
                 lines.append(

@@ -594,153 +594,155 @@ def execute_update(store_dir: str, text: str, n_buckets: int = 64) -> dict:
     §4.1.5, override WITH for reading while templates still target
     ``g``."""
     from .kgstore import (
-        _read_meta,
         clear_kg,
         read_kg,
         store_has_graph,
+        store_meta,
         transform_graphs,
         update_kg,
     )
+    from ..state.commit import writer_lock
     from .sparql_text import execute_on_store
 
     ops = parse_update(text)
-    meta = None
-    store_quads = store_has_graph(store_dir)
-    for op in ops:
-        kind = op["op"]
-        if kind == "create":
-            continue
-        if kind == "load":
-            try:
-                ds = _load_file_ds(op["iri"], op["into"], store_quads)
-                meta = update_kg(store_dir, insert_ds=ds, quads=store_quads)
-            except Exception:
-                if op["silent"]:
-                    continue  # §3.1.2: SILENT turns load failure into success
-                raise
-            continue
-        if kind in ("insert_data", "delete_data"):
-            ds = _ground_ds(op["quads"], store_quads)
-            meta = update_kg(
-                store_dir,
-                insert_ds=ds if kind == "insert_data" else None,
-                delete_ds=ds if kind == "delete_data" else None,
-                quads=store_quads,
-            )
-        elif kind == "clear":
-            target = op["target"]
-            if target[0] == "all" or (
-                target[0] == "default" and not store_quads
-            ):
-                meta = clear_kg(store_dir)
-            elif not store_quads:
-                # no graph column -> no named graphs -> NAMED / GRAPH g
-                # target nothing (the spec's no-op for absent graphs)
+    with writer_lock(store_dir):  # the whole request is one writer
+        meta = None
+        store_quads = store_has_graph(store_dir)
+        for op in ops:
+            kind = op["op"]
+            if kind == "create":
                 continue
-            elif target[0] == "default":
-                meta = transform_graphs(
+            if kind == "load":
+                try:
+                    ds = _load_file_ds(op["iri"], op["into"], store_quads)
+                    meta = update_kg(store_dir, insert_ds=ds, quads=store_quads)
+                except Exception:
+                    if op["silent"]:
+                        continue  # §3.1.2: SILENT turns load failure into success
+                    raise
+                continue
+            if kind in ("insert_data", "delete_data"):
+                ds = _ground_ds(op["quads"], store_quads)
+                meta = update_kg(
                     store_dir,
-                    lambda g: pc.equal(g, ""),
-                    _drop_graph_rewrite(""),
+                    insert_ds=ds if kind == "insert_data" else None,
+                    delete_ds=ds if kind == "delete_data" else None,
+                    quads=store_quads,
                 )
-            elif target[0] == "named":
-                meta = transform_graphs(
-                    store_dir,
-                    lambda g: pc.not_equal(g, ""),
-                    _keep_default_rewrite,
-                )
-            else:
-                graph = target[1]
-                meta = transform_graphs(
-                    store_dir,
-                    lambda g, _g=graph: pc.equal(g, _g),
-                    _drop_graph_rewrite(graph),
-                )
-        elif kind in ("copy", "move", "add"):
-            src, dst = op["src"], op["dst"]
-            if src == dst:
-                continue  # §3.2.x: same-graph COPY/MOVE/ADD is a no-op
-            if not store_quads:
-                raise SparqlSyntaxError(
-                    "ADD/MOVE/COPY need a quad store (a triple store"
-                    " has only the default graph)"
-                )
-            if kind == "add":
-                def pick_src(b: pa.Table, _s=src, _d=dst) -> pa.Table:
-                    g = pc.fill_null(pc.cast(b.column("graph"), pa.string()), "")
-                    hit = b.filter(pc.equal(g, _s))
-                    return pa.Table.from_pydict(
-                        {
-                            **{
-                                c: pc.cast(hit.column(c), pa.string())
-                                for c in _COLS
-                            },
-                            "graph": pa.nulls(
-                                hit.num_rows, pa.string()
-                            ).fill_null(_d),
-                        }
+            elif kind == "clear":
+                target = op["target"]
+                if target[0] == "all" or (
+                    target[0] == "default" and not store_quads
+                ):
+                    meta = clear_kg(store_dir)
+                elif not store_quads:
+                    # no graph column -> no named graphs -> NAMED / GRAPH g
+                    # target nothing (the spec's no-op for absent graphs)
+                    continue
+                elif target[0] == "default":
+                    meta = transform_graphs(
+                        store_dir,
+                        lambda g: pc.equal(g, ""),
+                        _drop_graph_rewrite(""),
                     )
-
-                ins = read_kg(
-                    store_dir, columns=["subj", "pred", "obj_value", "graph"]
-                ).map_batches(pick_src, batch_format="pyarrow")
-                meta = update_kg(store_dir, insert_ds=ins, quads=True)
-            else:
-                affected, rewrite = _graph_rewriters(kind, src, dst)
-                meta = transform_graphs(store_dir, affected, rewrite)
-        else:  # modify
-            prologue = "".join(
-                "PREFIX %s: <%s> " % (k, v) for k, v in op["prefixes"].items()
-            )
-            dataset = "".join(
-                "FROM <%s> " % u for u in op["usings"]
-            ) + "".join("FROM NAMED <%s> " % u for u in op["usings_named"])
-            with_graph = op["with_graph"]
-            if with_graph is not None and not store_quads:
-                _check_triple_form([], with_graph)
-            if with_graph is not None and not dataset:
-                if re.search(r"\bGRAPH\b", op["where"], re.IGNORECASE):
+                elif target[0] == "named":
+                    meta = transform_graphs(
+                        store_dir,
+                        lambda g: pc.not_equal(g, ""),
+                        _keep_default_rewrite,
+                    )
+                else:
+                    graph = target[1]
+                    meta = transform_graphs(
+                        store_dir,
+                        lambda g, _g=graph: pc.equal(g, _g),
+                        _drop_graph_rewrite(graph),
+                    )
+            elif kind in ("copy", "move", "add"):
+                src, dst = op["src"], op["dst"]
+                if src == dst:
+                    continue  # §3.2.x: same-graph COPY/MOVE/ADD is a no-op
+                if not store_quads:
                     raise SparqlSyntaxError(
-                        "GRAPH patterns inside a WITH-scoped WHERE are"
-                        " out of this fragment (they must range over"
-                        " ALL named graphs, which the FROM compilation"
-                        " of WITH cannot express) — use USING NAMED"
+                        "ADD/MOVE/COPY need a quad store (a triple store"
+                        " has only the default graph)"
                     )
-                dataset = "FROM <%s> " % with_graph
-            select = "%sSELECT * %sWHERE { %s }" % (prologue, dataset, op["where"])
-            # evaluate-then-mutate: snapshot the bindings BEFORE any
-            # partition is rewritten; both templates read the snapshot
-            bindings = execute_on_store(
-                store_dir, select, n_buckets=n_buckets
-            ).materialize()
-            # schema() on a materialized dataset is free; its columns
-            # ARE the bound variables (SELECT * projects them all).
-            # None = zero bindings -> both deltas are empty -> no-op
-            schema = bindings.schema()
-            if schema is None:
-                continue
-            bound = set(schema.names)
-            delete_ds = (
-                _instantiate(
-                    bindings, op["delete"], bound, store_quads, with_graph
+                if kind == "add":
+                    def pick_src(b: pa.Table, _s=src, _d=dst) -> pa.Table:
+                        g = pc.fill_null(pc.cast(b.column("graph"), pa.string()), "")
+                        hit = b.filter(pc.equal(g, _s))
+                        return pa.Table.from_pydict(
+                            {
+                                **{
+                                    c: pc.cast(hit.column(c), pa.string())
+                                    for c in _COLS
+                                },
+                                "graph": pa.nulls(
+                                    hit.num_rows, pa.string()
+                                ).fill_null(_d),
+                            }
+                        )
+
+                    ins = read_kg(
+                        store_dir, columns=["subj", "pred", "obj_value", "graph"]
+                    ).map_batches(pick_src, batch_format="pyarrow")
+                    meta = update_kg(store_dir, insert_ds=ins, quads=True)
+                else:
+                    affected, rewrite = _graph_rewriters(kind, src, dst)
+                    meta = transform_graphs(store_dir, affected, rewrite)
+            else:  # modify
+                prologue = "".join(
+                    "PREFIX %s: <%s> " % (k, v) for k, v in op["prefixes"].items()
                 )
-                if op["delete"]
-                else None
-            )
-            insert_ds = (
-                _instantiate(
-                    bindings, op["insert"], bound, store_quads, with_graph
+                dataset = "".join(
+                    "FROM <%s> " % u for u in op["usings"]
+                ) + "".join("FROM NAMED <%s> " % u for u in op["usings_named"])
+                with_graph = op["with_graph"]
+                if with_graph is not None and not store_quads:
+                    _check_triple_form([], with_graph)
+                if with_graph is not None and not dataset:
+                    if re.search(r"\bGRAPH\b", op["where"], re.IGNORECASE):
+                        raise SparqlSyntaxError(
+                            "GRAPH patterns inside a WITH-scoped WHERE are"
+                            " out of this fragment (they must range over"
+                            " ALL named graphs, which the FROM compilation"
+                            " of WITH cannot express) — use USING NAMED"
+                        )
+                    dataset = "FROM <%s> " % with_graph
+                select = "%sSELECT * %sWHERE { %s }" % (prologue, dataset, op["where"])
+                # evaluate-then-mutate: snapshot the bindings BEFORE any
+                # partition is rewritten; both templates read the snapshot
+                bindings = execute_on_store(
+                    store_dir, select, n_buckets=n_buckets
+                ).materialize()
+                # schema() on a materialized dataset is free; its columns
+                # ARE the bound variables (SELECT * projects them all).
+                # None = zero bindings -> both deltas are empty -> no-op
+                schema = bindings.schema()
+                if schema is None:
+                    continue
+                bound = set(schema.names)
+                delete_ds = (
+                    _instantiate(
+                        bindings, op["delete"], bound, store_quads, with_graph
+                    )
+                    if op["delete"]
+                    else None
                 )
-                if op["insert"]
-                else None
-            )
-            meta = update_kg(
-                store_dir,
-                insert_ds=insert_ds,
-                delete_ds=delete_ds,
-                quads=store_quads,
-            )
-    return meta if meta is not None else _read_meta(store_dir)
+                insert_ds = (
+                    _instantiate(
+                        bindings, op["insert"], bound, store_quads, with_graph
+                    )
+                    if op["insert"]
+                    else None
+                )
+                meta = update_kg(
+                    store_dir,
+                    insert_ds=insert_ds,
+                    delete_ds=delete_ds,
+                    quads=store_quads,
+                )
+        return meta if meta is not None else store_meta(store_dir)
 
 
 def _drop_graph_rewrite(graph: str):

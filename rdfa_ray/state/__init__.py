@@ -8,12 +8,12 @@
   ``RdfaDistiller`` / ``EntityLinker`` (``__init__``-time setup).
 * broadcast: alias dictionaries and query matrices via ``ray.put``,
   fetched once per actor/worker.
-* durable: the per-partition checkpoint manifest
-  (:func:`~rdfa_ray.pipelines.flagship.completed_parts`) plus the
-  pinned run meta (:func:`~rdfa_ray.pipelines.flagship.load_run_meta`
-  — records n_parts so resume reuses identical part ids) — the only
-  cross-run state; everything else is recomputable and idempotent.
+* durable: every persisted output (flagship checkpoint manifests and
+  pinned run meta, KG/dedup stores, layouts, indexes, caches) commits
+  through :mod:`.commit` — atomic writes, the manifest published LAST,
+  a single-writer ``flock`` on ``<dir>/.lock`` held by the driver, and
+  vacuum; readers take no lock and re-resolve the manifest per scan.
+  The only cross-run state; everything else is recomputable.
 """
 
 from ..kernel.state import BnodeGen, EvalState, TermContext  # noqa: F401
-from ..pipelines.flagship import completed_parts, load_run_meta, resolve_n_parts  # noqa: F401

@@ -203,3 +203,30 @@ def test_odd_m_bits_rounds_up(ray_session):
         right_schema=pa.schema([("k", pa.int64())]),
     ).to_pandas()
     assert sorted(out["k"]) == [5, 25]
+
+
+def test_splitmix64_pinned_and_uint64_keys_hash_their_bit_pattern(ray_session):
+    """One shared splitmix64 (reference SplitMix64 outputs pinned), and
+    unsigned keys >= 2^63 hash on the Bloom path instead of failing the
+    int64 cast."""
+    import ray.data as rd
+
+    from rdfa_ray.functions.hashing import splitmix64
+
+    got = splitmix64(np.array([0, 1, 0x9E3779B97F4A7C15, 2**64 - 1], np.uint64))
+    assert [int(v) for v in got] == [
+        0xE220A8397B1DCDAF, 0x910A2DEC89025CC1,
+        0x6E789E6AA1B965F4, 0xE4D971771B652C20,
+    ]
+
+    big = 2**63 + 5
+    left = rd.from_arrow(pa.table({"k": pa.array([5, big, 7], pa.uint64()),
+                                   "v": pa.array(list("abc"))}))
+    right = rd.from_arrow(pa.table({"k": pa.array([big], pa.uint64())}))
+    out = bloom_semi_join(
+        left, right, on="k", n_buckets=4, broadcast_limit=0,
+        left_schema=pa.schema([("k", pa.uint64()), ("v", pa.string())]),
+        right_schema=pa.schema([("k", pa.uint64())]),
+    ).to_pandas()
+    assert [int(k) for k in out["k"]] == [big]
+    assert list(out["v"]) == ["b"]

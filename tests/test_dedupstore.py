@@ -173,6 +173,7 @@ def test_vacuum_removes_tmp_orphans_only_outside_manifest(ray_session, tmp_path)
 
 def test_build_chunks_large_prefixes_into_bounded_files(ray_session, tmp_path):
     from rdfa_ray.stages import dedupstore as ds_mod
+    from rdfa_ray.state.commit import publish_manifest
 
     store = str(tmp_path / "hs")
     # force tiny files: every prefix slice must chunk
@@ -181,7 +182,7 @@ def test_build_chunks_large_prefixes_into_bounded_files(ray_session, tmp_path):
     )
     os.makedirs(store, exist_ok=True)
     parts = ds_mod._write_generation(hashed, store, gen=1, rows_per_file=2)
-    ds_mod._write_meta(store, {"format": 1, "generation": 1, "partitions": parts})
+    publish_manifest(store, "_meta.json", {"format": 1, "generation": 1, "partitions": parts})
     import pyarrow.parquet as pq
 
     seen = set()
@@ -291,3 +292,77 @@ def test_incremental_store_matches_set_model(ray_session, tmp_path_factory, data
     probe = [(99990, corpus[0]), (99991, "zz-definitely-new-zz")]
     out = incremental_exact_dedup(_docs(probe), store).to_pandas()
     assert sorted(out["doc_id"]) == [99991]
+
+
+def test_concurrent_q_dedup_incremental_builds_one_store(
+    ray_session, tmp_path, monkeypatch
+):
+    """Two drivers on fresh testdata: the store is built once, in place,
+    under its writer lock; the second waits and reads it.  No complete
+    store is ever deleted, and both get the same survivors."""
+    import glob
+    import hashlib
+    import shutil
+    import sys
+    import threading
+    import types
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from rdfa_ray.pipelines.queries import q_dedup_incremental
+
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    texts = ["doc %d" % (i % 150) for i in range(200)]
+    pq.write_table(pa.table({"doc_id": pa.array(range(200), pa.int64()),
+                             "text": texts}), str(sf / "documents.parquet"))
+    corpus = {t for i, t in enumerate(texts) if i % 10 >= 2}
+    first = {}
+    for i, t in enumerate(texts):
+        if i % 10 < 2 and t not in corpus:
+            first.setdefault(t, i)
+    want = sorted(first.values())
+
+    pattern = "/tmp/graft_hashstore_%s_*" % hashlib.md5(
+        str(sf).encode()).hexdigest()[:8]
+    real_rmtree = shutil.rmtree
+    deleted_complete = []
+
+    def guarded_rmtree(path, *a, **kw):
+        if hash_store_is_complete(str(path)):
+            deleted_complete.append(str(path))
+        return real_rmtree(path, *a, **kw)
+
+    monkeypatch.setattr(shutil, "rmtree", guarded_rmtree)
+    # Ray's read_parquet probes for fsspec's HTTP filesystem on every
+    # call; without aiohttp that import fails, and two threads racing it
+    # see a half-initialized module (ImportError instead of the
+    # ModuleNotFoundError Ray catches).  A stand-in module makes the
+    # probe deterministic; no HTTP filesystem is involved here.
+    monkeypatch.setitem(sys.modules, "fsspec.implementations.http",
+                        types.SimpleNamespace(HTTPFileSystem=type("HTTPFileSystem", (), {})))
+    results, errors = [], []
+
+    def run():
+        try:
+            out = q_dedup_incremental(str(sf)).to_pandas()
+            results.append(sorted(out["doc_id"]))
+        except Exception as e:  # reported below
+            errors.append(repr(e))
+
+    try:
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(300)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert deleted_complete == []
+        stores = glob.glob(pattern)
+        assert len(stores) == 1 and hash_store_is_complete(stores[0])
+        assert results == [want, want]
+    finally:
+        for d in glob.glob(pattern):
+            real_rmtree(d, ignore_errors=True)

@@ -341,3 +341,18 @@ def test_read_kg_projection_exact_and_quad_form_guard(ray_session, tmp_path):
     )
     with pytest.raises(ValueError, match="non-empty"):
         update_kg(store, insert_ds=quad_delta, quads=True)
+
+
+def test_null_in_non_term_payload_column_reads_back_null(ray_session, tmp_path):
+    # only term columns (and a graph column) normalize null -> '';
+    # any other string payload keeps its nulls
+    import ray.data as rd
+
+    store = str(tmp_path / "kg")
+    rows = pa.table({
+        "subj": ["s1", "s2"], "pred": [SRC, SRC], "obj_value": ["a", "b"],
+        "note": pa.array([None, "kept"], pa.string()),
+    })
+    persist_kg(rd.from_arrow(rows), store)
+    got = read_kg(store).to_pandas().sort_values("subj")
+    assert got["note"].tolist() == [None, "kept"]

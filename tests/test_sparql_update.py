@@ -468,7 +468,8 @@ def test_graph_mgmt_prunes_untouched_partitions(ray_session, tmp_path):
     """COPY rewrites only partitions containing src/dst rows; the
     manifest must carry every other partition by reference (same
     relative path object, no rewrite)."""
-    from rdfa_ray.stages.kgstore import _read_meta, pred_key
+    from rdfa_ray.stages.kgstore import pred_key
+    from rdfa_ray.state.commit import read_manifest
 
     rows = [
         ("http://x/a", SRC, "s1", G1),
@@ -476,9 +477,9 @@ def test_graph_mgmt_prunes_untouched_partitions(ray_session, tmp_path):
     ]
     d = str(tmp_path / "prune")
     persist_kg(_qds(rows), d)
-    before = _read_meta(d)["partitions"]
+    before = read_manifest(d, "_meta.json")["partitions"]
     rdfa_ray.update(d, "COPY <%s> TO <%s>" % (G1, G3))
-    after = _read_meta(d)["partitions"]
+    after = read_manifest(d, "_meta.json")["partitions"]
     assert after[pred_key(LANG)] == before[pred_key(LANG)]  # by reference
     assert after[pred_key(SRC)] != before[pred_key(SRC)]  # rewritten
 

@@ -166,3 +166,16 @@ def test_load_vocab_graphs_skips_failures(tmp_path):
     )
     assert list(graphs) == [str(good)]
     assert any("dereferenced" in d.message for d in opts.diagnostics)
+
+
+def test_bare_path_keeps_hash_in_file_name(tmp_path):
+    # only URLs carry '#' fragments; a bare local path is a file name
+    p = tmp_path / "vocab#v1.ttl"
+    p.write_text(TTL)
+    r = ResourceOpener(str(p))
+    assert r.data.decode() == TTL
+    assert r.content_type == MT_TURTLE
+    # a file:// URL still drops its fragment
+    plain = tmp_path / "plain.ttl"
+    plain.write_text(TTL)
+    assert ResourceOpener("file://%s#frag" % plain).data.decode() == TTL
