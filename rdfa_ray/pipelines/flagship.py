@@ -5,10 +5,14 @@
       -> map_batches(RdfaDistiller actor pool)      [actors]
       -> links via broadcast-alias AugmentingLinker [actors]
       -> groupby(part = hash(conv_id))              [the ONE shuffle]
-           fused per-partition task: vectorized canonicalization
-           (the conv-derived graph IRI co-locates each (graph, subj)
-           group with its link evidence) + atomic Parquet/N-Quads/
-           manifest write; resume skips finished partitions
+           fused per-partition task on ``pa.Table``: the Arrow
+           canonicalize kernel (the conv-derived graph IRI co-locates
+           each (graph, subj) group with its link evidence) + atomic
+           Parquet/N-Quads/manifest write; resume skips finished
+           partitions
+
+Every stage runs ``batch_format="pyarrow"``: no row reaches pandas
+(only the returned per-partition summary is converted).
 
 Engine analogue of the reference's whole CLI lifecycle
 (``/root/reference/pyRdfa/__init__.py:689-725`` ``rdf_from_sources`` +
@@ -34,7 +38,7 @@ import pyarrow.parquet as pq
 from ..functions.hashing import crc32_bucket
 from ..sources.aliases import build_alias_table
 from ..state import commit
-from ..stages.distill import DISTILL_BATCH_SIZE, RdfaDistiller
+from ..stages.distill import DISTILL_BATCH_SIZE, TRIPLES_SCHEMA, RdfaDistiller
 from ..stages.link import link_batch_augmenting
 
 def _filter_nonempty(batch: pa.Table) -> pa.Table:
@@ -96,13 +100,33 @@ def _add_part(batch: pa.Table, n_parts: int) -> pa.Table:
     )
 
 
+# the one on-disk row schema: the distiller's columns with every text
+# column as ``string`` (an all-null obj_lang/obj_datatype stays typed)
+PARTITION_SCHEMA = pa.schema(
+    [
+        pa.field(f.name, pa.string() if pa.types.is_large_string(f.type) else f.type)
+        for f in TRIPLES_SCHEMA
+    ]
+)
+
+
+def _text_bytes(lines: pa.Array) -> pa.Buffer:
+    """large_string lines -> the UTF-8 bytes of the text with a "\n"
+    after every line: one ``binary_join`` over the lines plus a
+    trailing empty one; no Python string is built."""
+    lines = pa.concat_arrays([lines, pa.array([""], pa.large_string())])
+    whole = pa.LargeListArray.from_arrays(pa.array([0, len(lines)], pa.int64()), lines)
+    return pc.binary_join(whole, pa.scalar("\n", pa.large_string()))[0].as_buffer()
+
+
 class PartitionWriter:
     """Per-partition atomic sink: parquet + N-Triples + manifest entry.
 
     Called from ``groupby("part").map_groups`` so one task owns one
     output partition; every file is an ``atomic_write`` and the
     manifest entry is published last (resume safety); returns the
-    manifest row.
+    manifest row.  Takes a ``pa.Table`` (a pandas DataFrame is
+    converted once on entry).
     """
 
     def __init__(self, out_dir: str, canonicalize_links: bool = False):
@@ -110,8 +134,6 @@ class PartitionWriter:
         self.canonicalize_links = canonicalize_links
 
     def __call__(self, group) -> pa.Table:
-        import pandas as pd
-
         # pyarrow's compute kernels use a process-global thread pool
         # sized to ALL hardware cores; with one writer task per Ray CPU
         # that oversubscribes the node ~32x and measurably throttles
@@ -119,26 +141,25 @@ class PartitionWriter:
         if pa.cpu_count() != 1:
             pa.set_cpu_count(1)
 
-        if not isinstance(group, pd.DataFrame):
-            group = group.to_pandas()
-        part = int(group["part"].iloc[0])
-        group = group.drop(columns=["part"])
+        if not isinstance(group, pa.Table):
+            group = pa.Table.from_pandas(group, preserve_index=False)
+        part = group.column("part")[0].as_py()
+        group = group.drop_columns(["part"])
         if self.canonicalize_links:
             # fused canonicalization: this partition holds every
             # (graph, subj) group in full (partition key = conv hash;
-            # graph is conv-derived), so the vectorized bucket kernel
-            # applies directly
-            from ..stages.canonicalize import _canonicalize_bucket
+            # graph is conv-derived), so the bucket kernel applies
+            # directly
+            from ..stages.canonicalize import canonicalize_table
 
-            group = _canonicalize_bucket(group)
-        data = pa.Table.from_pandas(group, preserve_index=False)
+            group = canonicalize_table(group)
+        data = group.select(PARTITION_SCHEMA.names).cast(PARTITION_SCHEMA)
 
         pq_final = "%s/parquet/part-%05d.parquet" % (self.out_dir, part)
         commit.atomic_write(pq_final, lambda tmp: pq.write_table(data, tmp))
 
         # N-Quads formatting straight from Arrow (pyarrow.compute
-        # kernels — no pandas round-trip, no per-row Python; this is
-        # the hot path of the sink)
+        # kernels, no per-row Python; this is the hot path of the sink)
         from ..rdf.ntriples import nquads_lines_arrow
 
         is_triple = pc.equal(data.column("kind"), "triple")
@@ -147,21 +168,19 @@ class PartitionWriter:
         n_diags = data.num_rows - n_triples
         if n_triples:
             lines = nquads_lines_arrow(t)
-            lines = lines.take(pc.sort_indices(lines))
-            nt_text = "\n".join(lines.to_pylist()) + "\n"
+            nt_bytes = _text_bytes(lines.take(pc.sort_indices(lines)))
         else:
-            nt_text = ""
+            nt_bytes = b""
         nt_final = "%s/nt/part-%05d.nq" % (self.out_dir, part)
-        commit.atomic_write(nt_final, lambda tmp: pathlib.Path(tmp).write_text(nt_text))
+        commit.atomic_write(nt_final, lambda tmp: pathlib.Path(tmp).write_bytes(nt_bytes))
 
-        sha = hashlib.sha256(nt_text.encode()).hexdigest()
-        convs = set(data.column("conv_id").to_pylist())
+        sha = hashlib.sha256(nt_bytes).hexdigest()
         manifest = {
             "part": part,
             "rows": data.num_rows,
             "triples": n_triples,
             "diagnostics": n_diags,
-            "conversations": len(convs),
+            "conversations": pc.count_distinct(data.column("conv_id"), mode="all").as_py(),
             "sha256_nq": sha,
             "parquet": os.path.basename(pq_final),
             "nq": os.path.basename(nt_final),
@@ -317,5 +336,5 @@ def run_flagship(
         def write_partition(group):
             return writer(group)
 
-        summary = parted.groupby("part").map_groups(write_partition, batch_format="pandas")
+        summary = parted.groupby("part").map_groups(write_partition, batch_format="pyarrow")
         return summary.to_pandas()

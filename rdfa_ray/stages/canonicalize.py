@@ -10,15 +10,18 @@ Semantics (deterministic):
     subject was a non-bnode IRI different from the canonical one
     (bnode subjects are replaced silently — they were document-local).
   * Object positions referencing a canonicalized subject in the same
-    graph are rewritten too (a second vectorized merge keyed on
-    (graph, obj_value)), so intra-document edges stay consistent.
+    graph are rewritten too (a second join keyed on (graph,
+    obj_value)), so intra-document edges stay consistent.
 
 Physical plan: an explicit partitioned hash join — both row kinds get
-``bucket = crc32(graph|subj) % B``; ``groupby(bucket)`` co-locates a
-subject's triples with its link evidence; inside each bucket the work
-is a VECTORIZED pandas merge (never per-(graph,subj) Python calls —
+``bucket = crc32(graph) % B``; ``groupby(bucket)`` co-locates a
+subject's triples with its link evidence; inside each bucket one Arrow
+kernel (``canonicalize_table``: sort + ordered group-by for the best
+link, two left ``Table.join`` lookups, ``if_else`` rewrites) does the
+work over the whole bucket (never per-(graph,subj) Python calls —
 group cardinality is ~rows/3, and per-group overhead dominated an
-earlier map_groups implementation).  Keys include the per-turn graph
+earlier map_groups implementation).  The flagship writer runs the
+same kernel per output partition.  Keys include the per-turn graph
 IRI, so bucket load is uniform; genuinely hot keys would be salted by
 raising B and sub-splitting (see stages.aggregate for the combiner
 alternative used for algebraic aggregates).
@@ -27,8 +30,8 @@ alternative used for algebraic aggregates).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 OWL_SAME_AS = "http://www.w3.org/2002/07/owl#sameAs"
 
@@ -52,57 +55,98 @@ def _add_bucket(batch: pa.Table, n_buckets: int) -> pa.Table:
     )
 
 
-def _canonicalize_bucket(bucket_df: pd.DataFrame) -> pd.DataFrame:
-    links = bucket_df[bucket_df["_row_kind"] == "link"]
-    keep = bucket_df[bucket_df["_row_kind"] != "link"]
-    if len(links) == 0:
-        return keep.drop(columns=_DROP, errors="ignore")
+def canonicalize_table(table: pa.Table) -> pa.Table:
+    """The bucket kernel: link rows in, rewritten triples (+ diags, +
+    ``owl:sameAs`` provenance rows appended last) out, in input order,
+    with every text column typed ``string`` (the on-disk type).
+
+    Every step is a pyarrow compute kernel over the whole bucket.
+    Group-by and joins run single-threaded: the ordered "first"
+    aggregate needs it, and Ray already gives this task one CPU."""
+    is_link = pc.equal(table.column("_row_kind"), "link")
+    links = table.filter(is_link)
+    keep = table.filter(pc.invert(is_link))
+    out_names = [n for n in keep.column_names if n not in _DROP]
+    if links.num_rows == 0:
+        return _as_string(keep.select(out_names))
 
     # best link per (graph, subj): max score, then smallest entity IRI
     best = (
-        links.sort_values(["graph", "subj", "score", "entity"],
-                          ascending=[True, True, False, True])
-        .drop_duplicates(["graph", "subj"])[["graph", "subj", "entity"]]
-        .rename(columns={"entity": "_canonical"})
+        links.select(["graph", "subj", "entity", "score"])
+        .sort_by([("score", "descending"), ("entity", "ascending")])
+        .group_by(["graph", "subj"], use_threads=False)
+        .aggregate([("entity", "first")])
+        .select(["graph", "subj", "entity_first"])
     )
 
-    keep = keep.merge(best, on=["graph", "subj"], how="left")
-    matched = keep["_canonical"].notna() & (keep["_row_kind"] == "triple")
+    # left joins do not keep row order: carry a row index and take the
+    # looked-up column back into input order
+    n = keep.num_rows
+    rows = pa.array(np.arange(n, dtype=np.int64))
 
-    # provenance rows BEFORE rewriting (need the original subject)
-    prov_src = keep[
-        matched & (keep["subj_kind"] == "iri") & (keep["subj"] != keep["_canonical"])
-    ].drop_duplicates(["graph", "subj"])
-    prov = prov_src.copy()
-    if len(prov):
-        prov["pred"] = OWL_SAME_AS
-        prov["obj_value"] = prov["subj"]
-        prov["obj_kind"] = "iri"
-        prov["obj_lang"] = None
-        prov["obj_datatype"] = None
+    def lookup(key: str) -> pa.ChunkedArray:
+        probe = pa.table({"graph": keep.column("graph"), key: keep.column(key), "_i": rows})
+        hit = probe.join(best.rename_columns(["graph", key, "_canon"]),
+                         ["graph", key], join_type="left outer", use_threads=False)
+        canon = hit.column("_canon").take(pc.sort_indices(hit.column("_i")))
+        return canon.cast(keep.column(key).type)
 
-    keep.loc[matched, "subj"] = keep.loc[matched, "_canonical"]
-    keep.loc[matched, "subj_kind"] = "iri"
+    subj = keep.column("subj")
+    canon = lookup("subj")
+    is_triple = pc.equal(keep.column("_row_kind"), "triple")
+    matched = pc.and_(canon.is_valid(), is_triple)
+    subj_kind = keep.column("subj_kind")
+
+    # provenance rows come from the ORIGINAL subjects: the first row of
+    # each (graph, subj) that moves an IRI subject to a different IRI
+    moved = pc.and_(matched, pc.and_(pc.equal(subj_kind, "iri"), pc.not_equal(subj, canon)))
+    first = (
+        pa.table({"graph": keep.column("graph"), "subj": subj, "_i": rows})
+        .filter(moved)
+        .group_by(["graph", "subj"], use_threads=False)
+        .aggregate([("_i", "min")])
+        .column("_i_min")
+    )
+    first = first.take(pc.sort_indices(first))
+    prov = keep.take(first)
+    m = prov.num_rows
+    prov = _set(prov, "obj_value", prov.column("subj"))
+    prov = _set(prov, "subj", canon.take(first))
+    prov = _set(prov, "subj_kind", _const("iri", subj_kind.type, m))
+    prov = _set(prov, "pred", _const(OWL_SAME_AS, prov.schema.field("pred").type, m))
+    prov = _set(prov, "obj_kind", _const("iri", prov.schema.field("obj_kind").type, m))
+    for name in ("obj_lang", "obj_datatype"):
+        prov = _set(prov, name, pa.nulls(m, prov.schema.field(name).type))
 
     # object-position rewrite: references to a canonicalized subject
     # (within the same graph — bnodes/IRIs are document-scoped, and the
-    # partition co-locates the whole graph) follow it to the canonical
+    # bucket co-locates the whole graph) follow it to the canonical
     # IRI, keeping intra-document edges consistent
-    obest = best.rename(columns={"subj": "obj_value", "_canonical": "_ocanon"})
-    keep = keep.merge(obest, on=["graph", "obj_value"], how="left")
-    omatched = (
-        keep["_ocanon"].notna()
-        & (keep["_row_kind"] == "triple")
-        & keep["obj_kind"].isin(["iri", "bnode"])
+    ocanon = lookup("obj_value")
+    obj_kind = keep.column("obj_kind")
+    omatched = pc.and_(
+        pc.and_(ocanon.is_valid(), is_triple),
+        pc.is_in(obj_kind, value_set=pa.array(["iri", "bnode"], obj_kind.type)),
     )
-    keep.loc[omatched, "obj_value"] = keep.loc[omatched, "_ocanon"]
-    keep.loc[omatched, "obj_kind"] = "iri"
+    keep = _set(keep, "subj", pc.if_else(matched, canon, subj))
+    keep = _set(keep, "subj_kind", pc.if_else(matched, "iri", subj_kind))
+    keep = _set(keep, "obj_value", pc.if_else(omatched, ocanon, keep.column("obj_value")))
+    keep = _set(keep, "obj_kind", pc.if_else(omatched, "iri", obj_kind))
+    return _as_string(pa.concat_tables([keep.select(out_names), prov.select(out_names)]))
 
-    if len(prov):
-        prov["subj"] = prov["_canonical"]
-        prov["subj_kind"] = "iri"
-        keep = pd.concat([keep, prov], ignore_index=True)
-    return keep.drop(columns=_DROP + ["_canonical", "_ocanon"], errors="ignore")
+
+def _as_string(table: pa.Table) -> pa.Table:
+    return table.cast(pa.schema(
+        [f.with_type(pa.string()) if pa.types.is_large_string(f.type) else f for f in table.schema]
+    ))
+
+
+def _set(table: pa.Table, name: str, values) -> pa.Table:
+    return table.set_column(table.schema.get_field_index(name), name, values)
+
+
+def _const(value: str, type_: pa.DataType, n: int) -> pa.Array:
+    return pa.repeat(pa.scalar(value, type_), n)
 
 
 def canonicalize(augmented_ds, n_buckets: int = N_BUCKETS,
@@ -123,5 +167,5 @@ def canonicalize(augmented_ds, n_buckets: int = N_BUCKETS,
         lambda b: _add_bucket(b, n_buckets), batch_format="pyarrow"
     )
     return bucketed.groupby("bucket").map_groups(
-        _canonicalize_bucket, batch_format="pandas"
+        canonicalize_table, batch_format="pyarrow"
     )

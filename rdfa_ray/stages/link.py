@@ -41,16 +41,22 @@ class EntityLinker:
 
             alias_table = ray.get(alias_ref)
         self.aliases = alias_table
-        if not alias_table:
-            # an empty alternation would match the empty string between
-            # non-word chars and KeyError on aliases[''] — emit nothing
+        # empty surfaces would be zero-width matches at every word
+        # boundary; with none left, an empty alternation would match the
+        # empty string everywhere — emit nothing
+        surfaces = sorted((a for a in alias_table if a), key=len, reverse=True)
+        if not surfaces:
             self.rx = None
             return
-        # longest-first so overlapping aliases match maximally
+        # longest-first so overlapping aliases match maximally.  Each
+        # branch starts with a literal character so sre can skip ahead
+        # to candidate first characters; the width-2 lookbehind after
+        # that character is the "no word character before the match"
+        # check (DOTALL so its "." also takes a newline first character)
         pattern = "|".join(
-            re.escape(a) for a in sorted(alias_table, key=len, reverse=True)
+            re.escape(a[0]) + r"(?<!\w.)" + re.escape(a[1:]) for a in surfaces
         )
-        self.rx = re.compile(r"(?<![\w])(%s)(?![\w])" % pattern)
+        self.rx = re.compile(r"(%s)(?![\w])" % pattern, re.DOTALL)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

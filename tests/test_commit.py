@@ -358,7 +358,7 @@ def test_flagship_partition_crash_then_resume(flagship_ref, tmp_path, monkeypatc
     class CrashingWriter(flagship.PartitionWriter):
         # pickled by value: the patch happens inside the worker task
         def __call__(self, group):
-            if int(group["part"].iloc[0]) != victim:
+            if pa.table(group).column("part")[0].as_py() != victim:
                 return super().__call__(group)
             from rdfa_ray.state import commit as worker_commit
 

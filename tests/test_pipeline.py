@@ -134,6 +134,46 @@ def test_linker_and_canonicalize(ray_session):
     assert len(ref_edge) == 1 and ref_edge["obj_value"].iloc[0] == entity_iri(3)
 
 
+
+def test_flagship_partition_schemas_are_identical(ray_session, tmp_path):
+    """Every Parquet partition carries one schema, also a partition
+    that holds no language-tagged literal (its obj_lang is all null)."""
+    import glob
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from rdfa_ray.pipelines.flagship import run_flagship
+    from rdfa_ray.sources.transcripts import TRANSCRIPTS_SCHEMA
+
+    n = 12
+    texts = [
+        '<p about="http://x.org/c%d" property="http://schema.org/name"%s>name %d</p>'
+        % (i, ' lang="en"' if i == 0 else "", i)
+        for i in range(n)
+    ]
+    turns = pa.Table.from_pydict(
+        {
+            "conv_id": ["conv%02d" % i for i in range(n)],
+            "turn_idx": [0] * n,
+            "role": ["user"] * n,
+            "text": texts,
+            "tool": [""] * n,
+            "ts": [0] * n,
+        },
+        schema=TRANSCRIPTS_SCHEMA,
+    )
+    out = str(tmp_path / "flag")
+    run_flagship(rd.from_arrow(turns), out, n_parts=4)
+    files = sorted(glob.glob(out + "/parquet/part-*.parquet"))
+    assert len(files) >= 2
+    schemas = [pq.read_schema(f) for f in files]
+    assert len({str(s.remove_metadata()) for s in schemas}) == 1
+    assert all(s.equals(schemas[0], check_metadata=True) for s in schemas)
+    assert schemas[0].field("obj_lang").type == pa.string()
+    langs = pa.concat_tables(pq.read_table(f) for f in files).column("obj_lang")
+    assert langs.null_count == n - 1
+
 def test_dedup_and_text_stages(ray_session):
     import pyarrow as pa
     import ray.data as rd
