@@ -1,4 +1,5 @@
-"""Lenient HTML5-ish tree builder on top of stdlib ``html.parser``.
+"""Lenient HTML5-ish tree builder: pyexpat where it gives the same
+tree, stdlib ``html.parser`` everywhere else.
 
 Replaces the reference's html5lib parse
 (``/root/reference/pyRdfa/__init__.py:619-649``).  We only need
@@ -9,11 +10,22 @@ structure (so the <head>/<body> subject-inheritance special case at
 ``state.py:186-190`` behave identically), recovery from unclosed tags.
 Full spec-grade error recovery (adoption agency etc.) is documented as
 out of scope (SURVEY.md §7.4.2).
+
+Most markup fragments are well-formed XML.  ``parse_html`` first runs
+them through expat, wrapped in one root element and without namespace
+processing, and builds the nodes ``_TreeBuilder`` would build.  The
+input itself decides: whenever ``html.parser`` could see a different
+tree (entities, comments, declarations, raw-text elements, whitespace
+inside tags, implied end tags, content inside a void element, input
+expat refuses, ...), the fragment goes through ``_TreeBuilder``.
 """
 
 from __future__ import annotations
 
+import re
+import string
 from html.parser import HTMLParser
+from xml.parsers import expat
 
 from .node import Document, Element
 
@@ -28,6 +40,9 @@ _P_CLOSERS = frozenset(
 )
 
 _HEAD_ONLY = frozenset("title base meta link style".split())
+
+# Inline elements an implied </p> looks through (``handle_starttag``).
+_P_INLINE = frozenset(("a", "span", "b", "i", "em", "strong"))
 
 
 class _TreeBuilder(HTMLParser):
@@ -54,7 +69,7 @@ class _TreeBuilder(HTMLParser):
                 if self.stack[i].tag == "p":
                     del self.stack[i:]
                     break
-                if self.stack[i].tag not in ("a", "span", "b", "i", "em", "strong"):
+                if self.stack[i].tag not in _P_INLINE:
                     break
         # li implicitly closes li
         if tag == "li":
@@ -97,8 +112,6 @@ class _TreeBuilder(HTMLParser):
         self.saw_doctype = True
         low = decl.strip()
         if low.lower().startswith("doctype"):
-            import re
-
             m = re.search(r'PUBLIC\s+"([^"]*)"\s+"([^"]*)"', low, re.IGNORECASE)
             if m:
                 self.public_id, self.system_id = m.group(1), m.group(2)
@@ -122,14 +135,108 @@ def _is_ws(node) -> bool:
     return not isinstance(node, Element) and node.strip() == ""
 
 
+# XML turns tab/newline inside an attribute value into a space.  Tags
+# carry no ``>`` in attribute values (refused below), so a tag is the
+# span from ``<`` to the next ``>``.
+_WS_IN_TAG = re.compile(r"<[^>]*[\t\n\f]")
+# html.parser reads these elements' content as raw text.
+_RAW_TEXT = frozenset(("script", "style"))
+_ASCII_LETTERS = frozenset(string.ascii_letters)
+
+
+class _Refuse(Exception):
+    pass
+
+
+def _expat_top(text: str) -> list | None:
+    """The top-level nodes ``_TreeBuilder`` builds for ``text``, built with
+    expat, or None when the two could differ."""
+    # entities, comments/declarations/CDATA, PIs, CR (XML folds CRLF)
+    if "&" in text or "<!" in text or "<?" in text or "\r" in text:
+        return None
+    if ("\n" in text or "\t" in text or "\f" in text) and _WS_IN_TAG.search(text):
+        return None
+    wrapper = Element("_")
+    stack = [wrapper]
+
+    def start_wrapper(name, attributes):
+        # the wrapper builds no node; every later tag is the fragment's
+        parser.StartElementHandler = start
+
+    def start(name, attributes):
+        if name[0] not in _ASCII_LETTERS:
+            raise _Refuse  # html.parser reads ``<_x`` / ``<é`` as text
+        tag = name.lower()
+        parent = stack[-1]
+        if parent.tag in VOID_ELEMENTS or tag in _RAW_TEXT:
+            raise _Refuse
+        if tag == "p" or tag in _P_CLOSERS:
+            for el in reversed(stack):
+                if el.tag == "p":
+                    raise _Refuse  # implied </p>
+                if el.tag not in _P_INLINE:
+                    break
+        elif tag == "li":
+            for el in reversed(stack):
+                if el.tag == "li":
+                    raise _Refuse  # implied </li>
+                if el.tag in ("ul", "ol"):
+                    break
+        el = Element(tag)
+        attrs = el.attrs
+        for i in range(0, len(attributes), 2):
+            value = attributes[i + 1]
+            if ">" in value:
+                raise _Refuse
+            aname = attributes[i].lower()
+            if aname not in attrs:  # first occurrence wins
+                attrs[aname] = value
+        parent.children.append(el)
+        stack.append(el)
+
+    def end(name):
+        stack.pop()
+
+    def characters(data):
+        # Any tag leaves an element as the current element's last child,
+        # so a trailing str is the text run this data continues.
+        parent = stack[-1]
+        if parent.tag in VOID_ELEMENTS:
+            raise _Refuse
+        kids = parent.children
+        if kids and type(kids[-1]) is str:
+            kids[-1] += data
+        else:
+            kids.append(data)
+
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    parser.ordered_attributes = True
+    parser.StartElementHandler = start_wrapper
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = characters
+    try:
+        parser.Parse("<_>%s</_>" % text, True)
+    except (_Refuse, expat.ExpatError, ValueError):
+        return None
+    return wrapper.children
+
+
 def parse_html(text: str) -> Document:
     """Parse an HTML5 document or fragment into a normalized Document whose
     root is always an <html> element containing <head> and <body>."""
+    top = _expat_top(text)
+    if top is not None:
+        return Document(_shape(top))
     tb = _TreeBuilder()
     tb.feed(text)
     tb.close()
+    return Document(_shape(tb.top), tb.public_id, tb.system_id)
 
-    top_elements = [n for n in tb.top if isinstance(n, Element)]
+
+def _shape(top: list) -> Element:
+    """Wrap the top-level nodes in <html> with one <head> and one <body>."""
+    top_elements = [n for n in top if isinstance(n, Element)]
     html_el = None
     for el in top_elements:
         if el.tag == "html":
@@ -142,7 +249,7 @@ def parse_html(text: str) -> Document:
         body = Element("body")
         html_el.children = [head, body]
         target = head
-        for node in tb.top:
+        for node in top:
             if target is head:
                 if _is_ws(node):
                     continue
@@ -173,4 +280,4 @@ def parse_html(text: str) -> Document:
                     rebuilt.append(new_body)
                 html_el.children = rebuilt
 
-    return Document(html_el, tb.public_id, tb.system_id)
+    return html_el

@@ -63,7 +63,16 @@ class Element:
 
     def getElementsByTagName(self, tag: str):
         # Descendants only, document order (minidom semantics).
-        return [el for el in self.iter_elements() if el.tag == tag and el is not self]
+        found = []
+        stack = self.children[::-1]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Element):
+                if node.tag == tag:
+                    found.append(node)
+                if node.children:
+                    stack.extend(node.children[::-1])
+        return found
 
     def text_content(self) -> str:
         """Recursive text (reference ``_get_literal``, property.py:231-251)."""

@@ -142,6 +142,48 @@ class BnodeGen:
         return (BNODE, label)
 
 
+def _initial_context(host: str):
+    """(terms, prefixes, vocabulary) of the host's RDFa 1.1 initial
+    context (``InitialContext``, termorcurie.py:89-139)."""
+    terms: dict[str, str] = {}
+    ns: dict[str, str] = {}
+    vocabulary = None
+    for ctx_id in INITIAL_CONTEXTS[host]:
+        data = CONTEXT_DATA[ctx_id]
+        if host in DEFAULT_VOCABULARY:
+            vocabulary = DEFAULT_VOCABULARY[host]
+        elif data["vocabulary"] != "":
+            vocabulary = data["vocabulary"]
+        terms.update(data["terms"])
+        ns.update(data["ns"])
+    return terms, ns, vocabulary
+
+
+# Built once; every root context copies ``terms`` and shares ``ns`` as its
+# (never mutated) ``default_prefixes``.
+_INITIAL_CONTEXTS = {host: _initial_context(host) for host in INITIAL_CONTEXTS}
+_NO_INITIAL_CONTEXT = ({}, {}, None)
+
+
+def _declares_terms(attrs: dict) -> bool:
+    """True when an element's attributes can change its term context:
+    ``prefix``, ``vocab`` or an ``xmlns:*`` declaration."""
+    if "prefix" in attrs or "vocab" in attrs:
+        return True
+    for name in attrs:
+        if name.startswith("xmlns:"):
+            return True
+    return False
+
+
+def _remove_frag_id(uri):
+    try:
+        t = urlparse(uri)
+        return urlunparse((t[0], t[1], t[2], t[3], t[4], ""))
+    except Exception:
+        return uri
+
+
 class ListStructure:
     """Reference state.py:58-64."""
 
@@ -174,18 +216,10 @@ class TermContext:
                 options.add_warning(err_redefining_URI_as_prefix % pr, node=state.node.tag)
 
         # ---- initial context (InitialContext, termorcurie.py:89-139) ----
-        init_terms: dict[str, str] = {}
-        init_ns: dict[str, str] = {}
-        init_vocabulary = None
         if state.rdfa_version >= "1.1" and inherited_state is None:
-            for ctx_id in INITIAL_CONTEXTS[options.host_language]:
-                data = CONTEXT_DATA[ctx_id]
-                if options.host_language in DEFAULT_VOCABULARY:
-                    init_vocabulary = DEFAULT_VOCABULARY[options.host_language]
-                elif data["vocabulary"] != "":
-                    init_vocabulary = data["vocabulary"]
-                init_terms.update(data["terms"])
-                init_ns.update(data["ns"])
+            init_terms, init_ns, init_vocabulary = _INITIAL_CONTEXTS[options.host_language]
+        else:
+            init_terms, init_ns, init_vocabulary = _NO_INITIAL_CONTEXT
 
         self.state = state
 
@@ -204,7 +238,7 @@ class TermContext:
             if init_vocabulary:
                 self.default_term_uri = init_vocabulary
             node = state.node
-            if node.hasAttribute("vocab") and node.getAttribute("vocab") == "":
+            if node.attrs.get("vocab") == "":
                 self.default_term_uri = init_vocabulary
             else:
                 def_term = state.getURI("vocab")  # IRI tuple or None
@@ -251,8 +285,8 @@ class TermContext:
                     xmlns_local[pr] = uri
                     check_prefix(pr)
 
-        if state.rdfa_version >= "1.1" and node.hasAttribute("prefix"):
-            pr = node.getAttribute("prefix")
+        if state.rdfa_version >= "1.1" and "prefix" in node.attrs:
+            pr = node.attrs["prefix"]
             if pr is not None:
                 pr_list = pr.strip().split()
                 # parsed right-to-left (termorcurie.py:283)
@@ -330,6 +364,20 @@ class TermContext:
             self.xmlns.update(xmlns_local)
         else:
             self.xmlns = xmlns_local
+
+    def derive(self, state: "EvalState") -> "TermContext":
+        """The context of a child element that declares no ``prefix``,
+        ``vocab`` or ``xmlns:*``: the same environment, bound to the
+        child's state (what ``__init__`` computes for such a node)."""
+        ctx = TermContext.__new__(TermContext)
+        ctx.state = state
+        ctx.default_curie_uri = self.default_curie_uri
+        ctx.default_term_uri = self.default_term_uri
+        ctx.terms = self.terms
+        ctx.ns = self.ns
+        ctx.default_prefixes = self.default_prefixes
+        ctx.xmlns = self.xmlns
+        return ctx
 
     # ---- CURIE reference validity (termorcurie.py:356-376) ----
     def _check_reference(self, val: str) -> bool:
@@ -440,14 +488,8 @@ class EvalState:
         rdfa_version: str | None = None,
         bnodes: BnodeGen | None = None,
     ):
-        def remove_frag_id(uri):
-            try:
-                t = urlparse(uri)
-                return urlunparse((t[0], t[1], t[2], t[3], t[4], ""))
-            except Exception:
-                return uri
-
         self.node = node
+        attrs = node.attrs
 
         if inherited_state is not None:
             self.rdfa_version = inherited_state.rdfa_version
@@ -456,8 +498,8 @@ class EvalState:
             self.bnodes = inherited_state.bnodes
             self.list_mapping = inherited_state.list_mapping
             self.new_list = False
-            if self.options.host_language in ACCEPT_XML_BASE and node.hasAttribute("xml:base"):
-                self.base = remove_frag_id(node.getAttribute("xml:base"))
+            if self.options.host_language in ACCEPT_XML_BASE and "xml:base" in attrs:
+                self.base = _remove_frag_id(attrs["xml:base"])
         else:
             self.list_mapping = ListStructure()
             self.new_list = True
@@ -466,8 +508,8 @@ class EvalState:
             self.rdfa_version = rdfa_version if rdfa_version is not None else "1.1"
 
             # @version gate at the root (state.py:169-175)
-            if node.hasAttribute("version"):
-                top_version = node.getAttribute("version")
+            if "version" in attrs:
+                top_version = attrs["version"]
                 if "RDFa 1.0" in top_version or "RDFa1.0" in top_version:
                     self.rdfa_version = "1.0"
                 elif "RDFa 1.1" in top_version or "RDFa1.1" in top_version:
@@ -477,15 +519,18 @@ class EvalState:
             if self.options.host_language in HTML_HOSTS:
                 for bases in node.getElementsByTagName("base"):
                     if bases.hasAttribute("href"):
-                        self.base = remove_frag_id(bases.getAttribute("href"))
+                        self.base = _remove_frag_id(bases.getAttribute("href"))
                         continue
-            elif self.options.host_language in ACCEPT_XML_BASE and node.hasAttribute("xml:base"):
-                self.base = remove_frag_id(node.getAttribute("xml:base"))
+            elif self.options.host_language in ACCEPT_XML_BASE and "xml:base" in attrs:
+                self.base = _remove_frag_id(attrs["xml:base"])
             if self.base == "":
                 self.base = base
 
         self.parsed_base = urlsplit(self.base)
-        self.term_or_curie = TermContext(self, graph, inherited_state)
+        if inherited_state is not None and not _declares_terms(attrs):
+            self.term_or_curie = inherited_state.term_or_curie.derive(self)
+        else:
+            self.term_or_curie = TermContext(self, graph, inherited_state)
 
         # ---- language (state.py:218-257) ----
         if inherited_state is not None:
@@ -495,22 +540,20 @@ class EvalState:
         self.supress_lang = False
 
         if self.options.host_language in HTML_HOSTS:
-            lang = node.getAttribute("lang").lower() if node.hasAttribute("lang") else None
-            xmllang = (
-                node.getAttribute("xml:lang").lower() if node.hasAttribute("xml:lang") else None
-            )
-            if xmllang is not None:
+            if "xml:lang" in attrs:
+                xmllang = attrs["xml:lang"].lower()
                 self.lang = xmllang if len(xmllang) != 0 else None
-            elif lang is not None:
+            elif "lang" in attrs:
+                lang = attrs["lang"].lower()
                 self.lang = lang if len(lang) != 0 else None
-        elif self.options.host_language in ACCEPT_XML_LANG and node.hasAttribute("xml:lang"):
-            self.lang = node.getAttribute("xml:lang").lower()
+        elif self.options.host_language in ACCEPT_XML_LANG and "xml:lang" in attrs:
+            self.lang = attrs["xml:lang"].lower()
             if len(self.lang) == 0:
                 self.lang = None
 
         # ---- default namespace for XML literals (state.py:260-266) ----
-        if node.hasAttribute("xmlns"):
-            self.defaultNS = node.getAttribute("xmlns")
+        if "xmlns" in attrs:
+            self.defaultNS = attrs["xmlns"]
         elif inherited_state is not None and inherited_state.defaultNS is not None:
             self.defaultNS = inherited_state.defaultNS
         else:
@@ -630,8 +673,9 @@ class EvalState:
 
     # ---- getURI / getResource (state.py:434-482) ----
     def getURI(self, attr: str):
-        if self.node.hasAttribute(attr):
-            val = self.node.getAttribute(attr)
+        attrs = self.node.attrs
+        if attr in attrs:
+            val = attrs[attr]
         else:
             return [] if attr in EvalState._list_attrs else None
 

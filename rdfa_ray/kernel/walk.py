@@ -39,7 +39,7 @@ FASTPATH_MARKERS = (
 
 
 def _has_one_of(node: Element, names) -> bool:
-    return any(node.hasAttribute(n) for n in names)
+    return not node.attrs.keys().isdisjoint(names)
 
 
 def _header_check(node, state, parent_object):
@@ -55,9 +55,10 @@ def _header_check(node, state, parent_object):
 
 def handle_role_attribute(node, graph, state):
     """parse.py:491-508."""
-    if node.hasAttribute("role"):
-        if node.hasAttribute("id"):
-            id_ = node.getAttribute("id").strip()
+    attrs = node.attrs
+    if "role" in attrs:
+        if "id" in attrs:
+            id_ = attrs["id"].strip()
             subject = iri(state.base + "#" + id_)
         else:
             subject = state.bnodes.new()
@@ -137,6 +138,7 @@ def _enter_1_1(f: _Frame, graph: set, stack: list, host_transforms) -> None:
     if _attrless_skip(f, stack):
         return
     node = f.node
+    attrs = node.attrs
     state = EvalState(node, graph, inherited_state=f.incoming_state)
     f.state = state
     options = state.options
@@ -145,8 +147,8 @@ def _enter_1_1(f: _Frame, graph: set, stack: list, host_transforms) -> None:
     if options.check_lite and options.host_language in (
         HostLanguage.html5, HostLanguage.xhtml5, HostLanguage.xhtml,
     ):
-        if node.tag == "link" and node.hasAttribute("rel") and \
-                state.term_or_curie.CURIE_to_URI(node.getAttribute("rel")) is not None:
+        if node.tag == "link" and "rel" in attrs and \
+                state.term_or_curie.CURIE_to_URI(attrs["rel"]) is not None:
             options.add_warning(
                 "In RDFa Lite, attribute @rel in <link> is only used in non-RDFa way "
                 "(consider using @property)", node=node.tag)
@@ -170,9 +172,9 @@ def _enter_1_1(f: _Frame, graph: set, stack: list, host_transforms) -> None:
 
     if _has_one_of(node, ("rel", "rev")):
         current_subject = _header_check(node, state, f.parent_object)
-        if node.hasAttribute("about"):
+        if "about" in attrs:
             current_subject = state.getURI("about")
-            if node.hasAttribute("typeof"):
+            if "typeof" in attrs:
                 typed_resource = current_subject
         if current_subject is None:
             current_subject = f.parent_object
@@ -181,26 +183,26 @@ def _enter_1_1(f: _Frame, graph: set, stack: list, host_transforms) -> None:
 
         current_object = state.getResource("resource", "href", "src")
 
-        if node.hasAttribute("typeof") and not node.hasAttribute("about"):
+        if "typeof" in attrs and "about" not in attrs:
             if current_object is None:
                 current_object = state.bnodes.new()
             typed_resource = current_object
 
-        if not node.hasAttribute("inlist") and current_object is not None:
+        if "inlist" not in attrs and current_object is not None:
             state.reset_list_mapping(origin=current_object)
 
-    elif node.hasAttribute("property") and not _has_one_of(node, ("content", "datatype")):
+    elif "property" in attrs and not _has_one_of(node, ("content", "datatype")):
         current_subject = _header_check(node, state, f.parent_object)
-        if node.hasAttribute("about"):
+        if "about" in attrs:
             current_subject = state.getURI("about")
-            if node.hasAttribute("typeof"):
+            if "typeof" in attrs:
                 typed_resource = current_subject
         if current_subject is None:
             current_subject = f.parent_object
         else:
             state.reset_list_mapping(origin=current_subject)
 
-        if typed_resource is None and node.hasAttribute("typeof"):
+        if typed_resource is None and "typeof" in attrs:
             typed_resource = state.getResource("resource", "href", "src")
             if typed_resource is None:
                 typed_resource = state.bnodes.new()
@@ -213,7 +215,7 @@ def _enter_1_1(f: _Frame, graph: set, stack: list, host_transforms) -> None:
         if current_subject is None:
             current_subject = state.getResource("about", "resource", "href", "src")
         if current_subject is None:
-            if node.hasAttribute("typeof"):
+            if "typeof" in attrs:
                 current_subject = state.bnodes.new()
                 state.reset_list_mapping(origin=current_subject)
             else:
@@ -222,7 +224,7 @@ def _enter_1_1(f: _Frame, graph: set, stack: list, host_transforms) -> None:
             state.reset_list_mapping(origin=current_subject)
 
         current_object = current_subject
-        if node.hasAttribute("typeof"):
+        if "typeof" in attrs:
             typed_resource = current_subject
 
     f.current_subject = current_subject
@@ -236,7 +238,7 @@ def _enter_1_1(f: _Frame, graph: set, stack: list, host_transforms) -> None:
     incomplete_triples = []
     for prop in state.getURI("rel"):
         if prop[0] != BNODE:
-            if node.hasAttribute("inlist"):
+            if "inlist" in attrs:
                 if current_object is not None:
                     state.add_to_list_mapping(prop, current_object)
                 else:
@@ -262,7 +264,7 @@ def _enter_1_1(f: _Frame, graph: set, stack: list, host_transforms) -> None:
                                 warning_type=IncorrectBlankNodeUsage, node=node.tag)
 
     # ---- @property (parse.py:274-275) ----
-    if node.hasAttribute("property"):
+    if "property" in attrs:
         ProcessProperty(node, graph, current_subject, state, typed_resource).generate_1_1()
 
     # ---- recursion setup (parse.py:280-289) ----
@@ -279,6 +281,7 @@ def _enter_1_0(f: _Frame, graph: set, stack: list, host_transforms) -> None:
     if _attrless_skip(f, stack):
         return
     node = f.node
+    attrs = node.attrs
     state = EvalState(node, graph, inherited_state=f.incoming_state)
     f.state = state
     options = state.options
@@ -301,7 +304,7 @@ def _enter_1_0(f: _Frame, graph: set, stack: list, host_transforms) -> None:
     if _has_one_of(node, ("rel", "rev")):
         current_subject = state.getResource("about", "src")
         if current_subject is None:
-            if node.hasAttribute("typeof"):
+            if "typeof" in attrs:
                 current_subject = state.bnodes.new()
             else:
                 current_subject = f.parent_object
@@ -344,7 +347,7 @@ def _enter_1_0(f: _Frame, graph: set, stack: list, host_transforms) -> None:
             options.add_warning(err_no_blank_node % "rev",
                                 warning_type=IncorrectBlankNodeUsage, node=node.tag)
 
-    if node.hasAttribute("property"):
+    if "property" in attrs:
         ProcessProperty(node, graph, current_subject, state).generate_1_0()
 
     if current_object is None:
@@ -389,9 +392,11 @@ def _exit_node(f: _Frame, graph: set) -> None:
 
 
 def handle_prototypes(graph: set) -> None:
+    copies = [(x, p, pr) for (x, p, pr) in graph if p == RDFA_COPY]
+    if not copies:
+        return
     to_remove = set()
     patterns = {s for (s, p, o) in graph if p == RDF_TYPE and o == RDFA_PATTERN}
-    copies = [(x, p, pr) for (x, p, pr) in graph if p == RDFA_COPY]
     by_subject: dict = {}
     for t in graph:
         by_subject.setdefault(t[0], []).append(t)
