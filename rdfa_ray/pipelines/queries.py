@@ -3885,12 +3885,11 @@ def q_kg_store_sparql(sf_dir: str):
     2 of the store's 4 partitions before a byte is read."""
     import hashlib as _hl
 
-    from ..stages.kgstore import persist_kg, store_is_complete
+    from ..stages.kgstore import ensure_kg
     from ..stages.sparql_text import execute_on_store
 
     store_dir = _store_tag(sf_dir, "graft_kg")
-    if not store_is_complete(store_dir):
-        persist_kg(_typed_triples(sf_dir), store_dir)
+    ensure_kg(store_dir, lambda: _typed_triples(sf_dir))
     return execute_on_store(
         store_dir,
         """
@@ -4312,13 +4311,12 @@ def q_kg_store_update(sf_dir: str):
     re-inserts triples already present (set semantics)."""
     import hashlib as _hl
 
-    from ..stages.kgstore import persist_kg, read_kg, store_is_complete, update_kg
+    from ..stages.kgstore import ensure_kg, read_kg, update_kg
     from ..stages.sparql import grouped_aggregate
 
     lang_pred = "http://schema.org/inLanguage"
     store_dir = _store_tag(sf_dir, "graft_kgu")
-    if not store_is_complete(store_dir):
-        persist_kg(_typed_triples(sf_dir), store_dir)
+    ensure_kg(store_dir, lambda: _typed_triples(sf_dir))
 
     langs = read_kg(store_dir, preds=[lang_pred])
     zh = langs.filter(expr="obj_value == 'zh'")
@@ -4369,11 +4367,10 @@ def q_kg_sparql_update(sf_dir: str):
     nothing, INSERT DATA is set-semantics."""
     import rdfa_ray
 
-    from ..stages.kgstore import persist_kg, store_is_complete
+    from ..stages.kgstore import ensure_kg
 
     store_dir = _store_tag(sf_dir, "graft_kgt")
-    if not store_is_complete(store_dir):
-        persist_kg(_typed_triples(sf_dir), store_dir)
+    ensure_kg(store_dir, lambda: _typed_triples(sf_dir))
     rdfa_ray.update(
         store_dir,
         """
@@ -4469,14 +4466,12 @@ def q_kg_store_quads(sf_dir: str):
     column riding along) persist into the predicate-partitioned store,
     and a pruned read of 2 of 4 partitions answers a per-predicate
     census with graphs intact."""
-    from ..stages.kgstore import persist_kg, read_kg, store_is_complete
+    from ..stages.kgstore import ensure_kg, read_kg
     from ray.data.aggregate import Count
 
-    store_dir = _store_tag(sf_dir, "graft_kgq")
-    if not store_is_complete(store_dir):
-        turns = typed_transcripts_from_documents(sf_dir)
-        quads = (
-            build_triples(turns)
+    def build_quads():
+        return (
+            build_triples(typed_transcripts_from_documents(sf_dir))
             .map_batches(split_triples, batch_format="pyarrow")
             .map_batches(
                 lambda t: pa.Table.from_pydict(
@@ -4490,7 +4485,9 @@ def q_kg_store_quads(sf_dir: str):
                 batch_format="pyarrow",
             )
         )
-        persist_kg(quads, store_dir)
+
+    store_dir = _store_tag(sf_dir, "graft_kgq")
+    ensure_kg(store_dir, build_quads)
 
     quads = read_kg(
         store_dir,
@@ -4775,12 +4772,11 @@ def q_kg_store_group_count(sf_dir: str):
     shape a 100-TB deployment queries."""
     import hashlib as _hl
 
-    from ..stages.kgstore import persist_kg, read_kg, store_is_complete
+    from ..stages.kgstore import ensure_kg, read_kg
     from ..stages.sparql import aggregate_bindings
 
     store_dir = _store_tag(sf_dir, "graft_kg")
-    if not store_is_complete(store_dir):
-        persist_kg(_typed_triples(sf_dir), store_dir)
+    ensure_kg(store_dir, lambda: _typed_triples(sf_dir))
 
     triples = read_kg(
         store_dir,

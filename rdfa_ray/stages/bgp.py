@@ -25,10 +25,14 @@ variables:
 
 Scale notes: the triples input is materialized ONCE here (each of the
 P scans re-reads the shared object-store blocks zero-copy; without it,
-Ray would re-execute the whole upstream distill per scan).  At 100-TB
-scale the input is the parquet-backed KG the flagship materializes, so
-the P scans become P column-pruned ``read_parquet`` passes instead and
-the materialize is unnecessary — the join structure is unchanged.
+Ray would re-execute the whole upstream distill per scan).  A store
+query whose pruned read is small (``sparql_text.LOCAL_MAX_ROWS``)
+arrives as an in-process ``ArrowFrame`` instead: the materialize is a
+no-op, each scan is one Arrow pass in the calling process, and the per-scan
+``count()`` below costs nothing.  At 100-TB scale the input is the
+parquet-backed KG the flagship materializes, so the P scans become P
+column-pruned ``read_parquet`` passes instead and the materialize is
+unnecessary — the join structure is unchanged.
 Cross products (a pattern sharing no variable with the accumulated
 bindings) are rejected rather than silently exploding.
 
@@ -261,12 +265,13 @@ def bgp_match(
             if not len(scan_df):
                 # typed empty result: no solution can extend
                 out_vars = bound + [v for v in p_vars if v not in bound]
-                import ray.data as rd
+                from .localframe import from_arrow_like
 
                 empty = pa.schema(
                     [(v, pa.string()) for v in out_vars]
                 ).empty_table()
-                bindings, bound = rd.from_arrow(empty), out_vars
+                bindings = from_arrow_like(triples_ds, empty)
+                bound = out_vars
                 continue
             scan_df = scan_df.astype(str)
             bindings, bound = _broadcast_step(

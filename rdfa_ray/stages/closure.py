@@ -243,7 +243,7 @@ def transitive_closure(
     ``max_rounds`` is a runaway bound (covers path depth 64); hitting
     it raises rather than silently truncating.
     """
-    import ray.data as rd
+    from .localframe import from_arrow_like
 
     kt = key_type
     edges = edges_ds.materialize()
@@ -251,10 +251,11 @@ def transitive_closure(
     if n_edges == 0:
         # to_pandas() on an empty Dataset loses the schema (0-column
         # frame); return the typed empty closure directly
-        return rd.from_arrow(_pair_schema(kt).empty_table())
+        return from_arrow_like(edges, _pair_schema(kt).empty_table())
     if n_edges <= local_limit:
         out = _local_closure(edges.to_pandas(), max_rounds)
-        return rd.from_arrow(
+        return from_arrow_like(
+            edges,
             pa.Table.from_arrays(
                 [
                     pa.array(out["src"].to_numpy(), kt),
@@ -276,7 +277,8 @@ def transitive_closure(
             new_df = _broadcast_round(edges, paths, frontier_df, kt)
             if not len(new_df):
                 return paths
-            new = rd.from_arrow(
+            new = from_arrow_like(
+                edges,
                 pa.Table.from_arrays(
                     [
                         pa.array(new_df["src"].to_numpy(), kt),

@@ -15,6 +15,12 @@ table format would (manifest-swapped partition generations):
   (directory pruning at the storage layer; scan fraction ≈
   |preds| / |distinct preds|), with a residual equality filter because
   sanitization may collide distinct predicate IRIs into one token.
+  ``read_kg_table`` is the same read into one in-process Arrow table,
+  and ``scan_rows`` sums the pruned files' Parquet-footer row counts —
+  ``sparql_text.execute_on_store`` reads small scans in-process and
+  runs larger ones on Ray Data.
+* ``ensure_kg``: build-if-absent, re-checked under the writer lock so
+  concurrent callers build one generation.
 * ``update_kg``: SPARQL-Update analogue (INSERT DATA / DELETE DATA,
   rdflib Graph.update / add / remove): ONLY the partitions named by
   the delta are rewritten, each as a new generation directory; the
@@ -213,6 +219,21 @@ def persist_kg(triples_ds, store_dir: str) -> dict:
             triples_ds.map_batches(_add_key, batch_format="pyarrow"), store_dir, gen
         )
         return _publish(store_dir, gen, parts, _sniff_quads(store_dir, parts))
+
+
+def ensure_kg(store_dir: str, build) -> dict:
+    """The store at ``store_dir``, built from ``build()`` (a triples
+    Dataset factory) when it is absent or incomplete.  Completeness is
+    re-checked under the writer lock, so concurrent callers build ONE
+    generation: the others wait, then find the manifest and read it.
+    Returns the meta dict."""
+    meta = store_meta(store_dir)
+    if meta is not None:
+        return meta
+    os.makedirs(store_dir, exist_ok=True)
+    with commit.writer_lock(store_dir):
+        # re-entrant per thread: persist_kg takes the same lock inside
+        return store_meta(store_dir) or persist_kg(build(), store_dir)
 
 
 def update_kg(store_dir: str, insert_ds=None, delete_ds=None, quads=None) -> dict:
@@ -431,22 +452,15 @@ def vacuum_store(store_dir: str) -> list:
         return commit.vacuum(store_dir, "parts", live)
 
 
-def read_kg(store_dir: str, preds=None, columns=None):
-    """Read the store back as a Dataset; ``preds`` (list of predicate
-    IRIs) prunes to only those predicates' partition directories and
-    applies the residual exact filter.  ``columns`` prunes at the
-    Parquet reader (pred is added transparently when a residual filter
-    needs it, then dropped)."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-
+def _pruned_read(store_dir: str, preds, columns):
+    """What a read of ``preds`` opens: ``(paths, read_cols, want,
+    empty)`` — the Parquet files, the columns to read (pred added
+    ONLY when the residual exact filter needs it; a plain projection
+    must not scan pred for nothing), the columns to return, and the
+    typed empty table for a read that opens no file."""
     meta = _current_meta(store_dir)
     partitions = meta["partitions"]
-
     want = list(columns) if columns is not None else None
-    # pred is read transparently ONLY when the residual exact filter
-    # needs it (preds given); a plain projection must return exactly
-    # the requested columns and not scan pred for nothing
     need_pred = preds is not None and want is not None and "pred" not in want
     read_cols = [*want, "pred"] if need_pred else want
     tokens = (
@@ -454,16 +468,16 @@ def read_kg(store_dir: str, preds=None, columns=None):
         if preds is None
         else sorted({pred_key(p) for p in preds} & set(partitions))
     )
-    paths = _partition_files(store_dir, partitions, tokens)
-    if not paths:
-        layout = list(_QCOLS) if meta.get("quads") else list(_COLS)
-        empty = {
-            c: pa.array([], pa.string()) for c in (want or layout)
-        }
-        return rd.from_arrow(pa.Table.from_pydict(empty))
-    ds = read_parquet_clean(paths, columns=read_cols)
-    if preds is None:
-        return ds
+    layout = list(_QCOLS) if meta.get("quads") else list(_COLS)
+    empty = pa.Table.from_pydict({c: pa.array([], pa.string()) for c in (want or layout)})
+    return _partition_files(store_dir, partitions, tokens), read_cols, want, empty
+
+
+def _residual(preds, want):
+    """The exact predicate filter behind a pruned read (sanitization
+    may collide distinct predicate IRIs into one partition token)."""
+    import pyarrow.compute as pc
+
     pred_arr = pa.array(sorted(set(preds)))
 
     def residual(batch: pa.Table) -> pa.Table:
@@ -472,4 +486,56 @@ def read_kg(store_dir: str, preds=None, columns=None):
             out = out.select(want)
         return out
 
-    return ds.map_batches(residual, batch_format="pyarrow")
+    return residual
+
+
+def scan_rows(store_dir: str, preds=None, stop_after: int | None = None) -> int:
+    """Rows in the files a read of ``preds`` opens, summed from their
+    Parquet footers (before the residual filter).  Stops as soon as the
+    sum passes ``stop_after``, so deciding "small or not" on a large
+    store opens only a few footers.  Footers are always current; the
+    manifest records no counts that ``update_kg`` or
+    ``transform_graphs`` would have to keep up."""
+    import pyarrow.parquet as pq
+
+    paths = _pruned_read(store_dir, preds, None)[0]
+    total = 0
+    for path in paths:
+        total += pq.read_metadata(path).num_rows
+        if stop_after is not None and total > stop_after:
+            break
+    return total
+
+
+def read_kg(store_dir: str, preds=None, columns=None):
+    """Read the store back as a Dataset; ``preds`` (list of predicate
+    IRIs) prunes to only those predicates' partition directories and
+    applies the residual exact filter.  ``columns`` prunes at the
+    Parquet reader (pred is added transparently when a residual filter
+    needs it, then dropped)."""
+    import ray.data as rd
+
+    paths, read_cols, want, empty = _pruned_read(store_dir, preds, columns)
+    if not paths:
+        return rd.from_arrow(empty)
+    ds = read_parquet_clean(paths, columns=read_cols)
+    if preds is None:
+        return ds
+    return ds.map_batches(_residual(preds, want), batch_format="pyarrow")
+
+
+def read_kg_table(store_dir: str, preds=None, columns=None) -> pa.Table:
+    """``read_kg`` in-process: the same pruned files, columns and
+    residual filter, read into one ``pa.Table`` in this process (schema
+    metadata stripped, as ``read_parquet_clean`` strips it)."""
+    import pyarrow.parquet as pq
+
+    paths, read_cols, want, empty = _pruned_read(store_dir, preds, columns)
+    if not paths:
+        return empty
+    table = pa.concat_tables(
+        # ParquetFile.read skips read_table's per-call dataset set-up
+        [pq.ParquetFile(p).read(columns=read_cols) for p in paths],
+        promote_options="permissive",
+    ).replace_schema_metadata(None)
+    return table if preds is None else _residual(preds, want)(table)

@@ -618,7 +618,7 @@ def grouped_distinct_aggregate(bindings, group_vars, var, alias, fn="count",
             # SPARQL §18.5: zero solutions still form ONE empty group —
             # COUNT(DISTINCT)=0, SUM/AVG=0, GROUP_CONCAT="".  Cheap to
             # patch here: the ungrouped result is at most one row.
-            return _empty_group_row([(fn, var, alias)])
+            return _empty_group_row([(fn, var, alias)], like=out)
         return out
 
     cols = [*gvars, var]
@@ -669,14 +669,15 @@ def grouped_distinct_aggregate(bindings, group_vars, var, alias, fn="count",
     )
 
 
-def _empty_group_row(aggs):
+def _empty_group_row(aggs, like):
     """The SPARQL §18.5 aggregate result over ZERO solutions with no
     GROUP BY: the empty solution multiset is one group, so the query
     yields one row — COUNT = 0, SUM = 0, AVG = 0 (the spec defines
     Avg({}) = 0), GROUP_CONCAT = "", and MIN / MAX / SAMPLE unbound
     (the engine's ``UNBOUND`` "" sentinel).  ``aggs``: ``(fn, var,
-    alias)`` tuples; ``fn`` may carry a ``_distinct`` suffix."""
-    import ray.data as rd
+    alias)`` tuples; ``fn`` may carry a ``_distinct`` suffix.  The row
+    is a Dataset of the same kind as ``like``."""
+    from .localframe import from_arrow_like
 
     cols = {}
     for fn, _v, alias, *_ in aggs:
@@ -689,7 +690,7 @@ def _empty_group_row(aggs):
             cols[alias] = pa.array([""], pa.string())
         else:  # min / max / sample: error over {} -> unbound
             cols[alias] = pa.array([UNBOUND], pa.string())
-    return rd.from_arrow(pa.table(cols))
+    return from_arrow_like(like, pa.table(cols))
 
 
 def grouped_count_distinct(bindings, group_vars, var, alias, n_buckets: int = 64):
@@ -756,7 +757,7 @@ def grouped_aggregate(bindings, group_vars, aggs, having=None, n_buckets: int = 
         keep = [a[2] for a in aggs]
         out = out.select_columns(keep).materialize()
         if out.count() == 0:
-            out = _empty_group_row(aggs)
+            out = _empty_group_row(aggs, like=out)
         if having is not None:
             # applied AFTER the empty-group fill: HAVING filters the
             # (possibly default) aggregated row, same as the grouped

@@ -4,11 +4,14 @@ crash/snapshot semantics."""
 
 import json
 import os
+import threading
+import time
 
 import pyarrow as pa
 import pytest
 
 from rdfa_ray.stages.kgstore import (
+    ensure_kg,
     persist_kg,
     pred_key,
     read_kg,
@@ -356,3 +359,29 @@ def test_null_in_non_term_payload_column_reads_back_null(ray_session, tmp_path):
     persist_kg(rd.from_arrow(rows), store)
     got = read_kg(store).to_pandas().sort_values("subj")
     assert got["note"].tolist() == [None, "kept"]
+
+
+def test_ensure_kg_two_threads_build_one_generation(ray_session, tmp_path):
+    store = str(tmp_path / "kg")
+    builds, metas = [], []
+    start = threading.Barrier(2)
+
+    def build():
+        builds.append(threading.get_ident())
+        time.sleep(0.3)  # hold the lock while the other thread arrives
+        return _triples_ds()
+
+    def caller():
+        start.wait()
+        metas.append(ensure_kg(store, build))
+
+    threads = [threading.Thread(target=caller) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(builds) == 1
+    assert [m["generation"] for m in metas] == [1, 1]
+    assert all(d.endswith("-g1") for d in os.listdir(os.path.join(store, "parts")))
+    # a complete store is read, never rebuilt
+    assert ensure_kg(store, build)["generation"] == 1 and len(builds) == 1

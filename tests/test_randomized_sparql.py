@@ -15,6 +15,8 @@ import ray.data as rd
 
 from rdfa_ray.stages.sparql_text import execute
 
+pytestmark = pytest.mark.usefixtures("both_executors")
+
 PREDS = ["http://ex.org/p%d" % i for i in range(4)]
 VALS = ["v%d" % i for i in range(6)]
 SUBJ = ["s%d" % i for i in range(8)]

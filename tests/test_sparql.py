@@ -15,6 +15,8 @@ from rdfa_ray.stages.sparql import (
     union_match,
 )
 
+pytestmark = pytest.mark.usefixtures("both_executors")
+
 
 def _triples(rows):
     subj, pred, obj = zip(*rows)

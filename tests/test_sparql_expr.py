@@ -8,6 +8,8 @@ import ray.data as rd
 
 from rdfa_ray.stages.sparql_text import SparqlSyntaxError, execute
 
+pytestmark = pytest.mark.usefixtures("both_executors")
+
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
 

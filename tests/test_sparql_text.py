@@ -7,6 +7,8 @@ import ray.data as rd
 
 from rdfa_ray.stages.sparql_text import SparqlSyntaxError, execute, parse_query
 
+pytestmark = pytest.mark.usefixtures("both_executors")
+
 
 def _triples(rows):
     subj, pred, obj = zip(*rows)
