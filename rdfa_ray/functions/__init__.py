@@ -9,7 +9,11 @@ functions"), collected for reuse inside batch kernels:
 * N-Triples term formatting / escaping (+ the Arrow-vectorized
   N-Quads line formatter used by the flagship sink)
 * shuffle-key hashing: :mod:`rdfa_ray.functions.hashing` — the
-  dictionary-encoded crc32 bucket kernels every all-to-all keys on
+  dictionary-encoded crc32 bucket kernels every all-to-all keys on,
+  and splitmix64
+* the keyed exchange: :mod:`rdfa_ray.functions.exchange` —
+  ``keyed_exchange`` (one input) and ``co_group`` (two inputs), the
+  only places a Dataset is hash-partitioned by key
 * word shingling: :mod:`rdfa_ray.functions.shingles` — stable token
   hashes + vectorized polynomial window rolls (contamination sweep,
   repetition signals, quality gate, winnowed fingerprints)

@@ -2,8 +2,11 @@
 
 Every all-to-all in the engine (flagship partitioning, canonicalize
 buckets, the bucketed hash join, distincts) keys on
-``crc32(key) % B``.  Computing that with a per-row Python list-comp
-sat directly upstream of the only shuffle (round-1 finding); these
+``crc32(key) % B``; every exchange but the flagship's partition
+write takes it through :mod:`rdfa_ray.functions.exchange`
+(``keyed_exchange`` / ``co_group``), never by appending a bucket
+column itself.  Computing it with a per-row Python list-comp sat
+directly upstream of the only shuffle (round-1 finding); these
 kernels compute crc32 only over the batch's *unique* values
 (``dictionary_encode``) and broadcast via a numpy ``take`` — identical
 assignment (crc32 is unchanged), a fraction of the Python-level work

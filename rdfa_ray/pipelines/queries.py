@@ -508,33 +508,13 @@ def q_lineitem_below_avg(sf_dir: str):
     are exact and 0.2 * (sum / count) is bit-identical to DuckDB's
     0.2 * AVG — the comparison cannot drift, and the output counts
     are integers (hash-stable vs the oracle)."""
-    import pandas as pd
-
-    from ..functions.hashing import crc32_bucket
+    from ..functions.exchange import keyed_exchange
 
     li = read_parquet_clean(
         "%s/lineitem.parquet" % sf_dir, columns=["l_partkey", "l_quantity"]
     )
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bucket",
-            crc32_bucket(
-                pc.cast(batch.column("l_partkey"), pa.string()), n_buckets
-            ),
-        )
-
-    empty = pd.DataFrame(
-        {
-            "l_partkey": pd.Series([], dtype="int64"),
-            "n_below": pd.Series([], dtype="int64"),
-        }
-    )
 
     def bucket_counts(group: pd.DataFrame) -> pd.DataFrame:
-        if not len(group):
-            return empty
         q = group["l_quantity"]
         g = q.groupby(group["l_partkey"], sort=False)
         # mean = exact float64 sum / count for integer-valued doubles
@@ -543,11 +523,7 @@ def q_lineitem_below_avg(sf_dir: str):
         out = below.value_counts().rename_axis("l_partkey").reset_index(name="n_below")
         return out.astype({"l_partkey": "int64", "n_below": "int64"})
 
-    return (
-        li.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(bucket_counts, batch_format="pandas")
-    )
+    return keyed_exchange(li, "l_partkey", bucket_counts, 32)
 
 
 def q_orders_by_segment(sf_dir: str):
@@ -2888,41 +2864,19 @@ def q_docs_source_quota(sf_dir: str, k: int = 50):
     source, ranked by the deterministic (n_chars, doc_id) priority.
     ONE shuffle on the source bucket; the per-bucket rank is a
     cythonized sort + groupby-cumcount — no per-source Python."""
-    import pandas as pd
-
-    from ..functions.hashing import crc32_bucket
+    from ..functions.exchange import keyed_exchange
 
     docs = read_parquet_clean(
         "%s/documents.parquet" % sf_dir,
         columns=["doc_id", "source", "n_chars"],
     )
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bucket", crc32_bucket(batch.column("source"), n_buckets)
-        )
-
-    empty = pd.DataFrame(
-        {
-            "doc_id": pd.Series([], dtype="int64"),
-            "source": pd.Series([], dtype=str),
-            "n_chars": pd.Series([], dtype="int64"),
-        }
-    )
 
     def take_quota(group: pd.DataFrame) -> pd.DataFrame:
-        if not len(group):
-            return empty
         g = group.sort_values(["source", "n_chars", "doc_id"], kind="mergesort")
         rank = g.groupby("source", sort=False).cumcount()
         return g.loc[rank < k, ["doc_id", "source", "n_chars"]]
 
-    return (
-        docs.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(take_quota, batch_format="pandas")
-    )
+    return keyed_exchange(docs, "source", take_quota, 32)
 
 
 def q_docs_length_trim(sf_dir: str, lo_q: float = 0.05, hi_q: float = 0.95):

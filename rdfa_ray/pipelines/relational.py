@@ -336,24 +336,11 @@ def sessionize_events(sf_dir: str, n_buckets: int = 64):
     import numpy as np
     import ray.data as rd
 
-    from ..functions.hashing import crc32_bucket
+    from ..functions.exchange import keyed_exchange
 
     ds = read_parquet_clean("%s/events.parquet" % sf_dir, columns=["user_id", "ts"])
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bucket", crc32_bucket(batch.column("user_id"), n_buckets)
-        )
-
     def bucket_sessions(group: pd.DataFrame) -> pd.DataFrame:
-        if not len(group):
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "n_sessions": pd.Series([], dtype="int64"),
-                    "n_events": pd.Series([], dtype="int64"),
-                }
-            )
         g = group.sort_values(["user_id", "ts"], kind="mergesort")
         uid = g["user_id"].to_numpy()
         secs = g["ts"].astype("int64").to_numpy() / 1e6  # epoch seconds
@@ -373,11 +360,7 @@ def sessionize_events(sf_dir: str, n_buckets: int = 64):
         agg["n_events"] = agg["n_events"].astype("int64")
         return agg
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(bucket_sessions, batch_format="pandas")
-    )
+    return keyed_exchange(ds, "user_id", bucket_sessions, n_buckets)
 
 
 def top_orders_per_segment(sf_dir: str, k: int = 3):
@@ -688,25 +671,13 @@ def events_user_deltas(sf_dir: str, n_buckets: int = 64):
     import numpy as np
     import ray.data as rd
 
-    from ..functions.hashing import crc32_bucket
+    from ..functions.exchange import keyed_exchange
 
     ds = read_parquet_clean(
         "%s/events.parquet" % sf_dir, columns=["event_id", "user_id", "ts"]
     )
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bucket", crc32_bucket(batch.column("user_id"), n_buckets)
-        )
-
     def bucket_deltas(group: pd.DataFrame) -> pd.DataFrame:
-        if not len(group):
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series([], dtype="int64"),
-                    "delta_us": pd.Series([], dtype="int64"),
-                }
-            )
         g = group.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         uid = g["user_id"].to_numpy()
         us = g["ts"].astype("int64").to_numpy()
@@ -718,11 +689,7 @@ def events_user_deltas(sf_dir: str, n_buckets: int = 64):
             {"event_id": g["event_id"].to_numpy(), "delta_us": delta}
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(bucket_deltas, batch_format="pandas")
-    )
+    return keyed_exchange(ds, "user_id", bucket_deltas, n_buckets)
 
 
 def lineitem_corr(sf_dir: str):
@@ -805,9 +772,8 @@ def events_pivot(sf_dir: str):
     milliseconds.)"""
     import ray.data as rd
 
-    from ..functions.hashing import crc32_bucket
+    from ..functions.exchange import keyed_exchange
 
-    n_buckets = 32
     ds = read_parquet_clean(
         "%s/events.parquet" % sf_dir, columns=["user_id", "event_type"]
     )
@@ -822,25 +788,18 @@ def events_pivot(sf_dir: str):
             )
         for c in cols:
             out[c] = out[c].astype("int64")
-        tbl = pa.Table.from_pandas(out, preserve_index=False)
-        return tbl.append_column(
-            "_bucket", crc32_bucket(tbl.column("user_id"), n_buckets)
+        return pa.Table.from_pandas(
+            out, preserve_index=False
         ).replace_schema_metadata(None)
 
     def bucket_sum(group: pd.DataFrame) -> pd.DataFrame:
-        if not len(group):
-            return pd.DataFrame(
-                {c: pd.Series([], dtype="int64") for c in ["user_id"] + cols}
-            )
         out = group.groupby("user_id", as_index=False)[cols].sum()
         for c in cols:
             out[c] = out[c].astype("int64")
         return out
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("_bucket")
-        .map_groups(bucket_sum, batch_format="pandas")
+    return keyed_exchange(
+        ds.map_batches(partial, batch_format="pandas"), "user_id", bucket_sum, 32
     )
 
 
@@ -895,14 +854,14 @@ def events_running_total(sf_dir: str, n_buckets: int = 64):
     import numpy as np
     import ray.data as rd
 
-    from ..functions.hashing import crc32_bucket
+    from ..functions.exchange import keyed_exchange
 
     ds = read_parquet_clean(
         "%s/events.parquet" % sf_dir,
         columns=["event_id", "user_id", "ts", "value"],
     )
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
+    def to_milli(batch: pa.Table) -> pa.Table:
         milli = pc.cast(
             pc.round(pc.multiply(batch.column("value"), 1000.0), 0,
                      round_mode="half_towards_infinity"),
@@ -914,18 +873,10 @@ def events_running_total(sf_dir: str, n_buckets: int = 64):
                 "user_id": batch.column("user_id"),
                 "ts": batch.column("ts"),
                 "milli": milli,
-                "_bucket": crc32_bucket(batch.column("user_id"), n_buckets),
             }
         )
 
     def bucket_cumsum(group: pd.DataFrame) -> pd.DataFrame:
-        if not len(group):
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series([], dtype="int64"),
-                    "cum_milli": pd.Series([], dtype="int64"),
-                }
-            )
         g = group.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         cum = g.groupby("user_id", sort=False)["milli"].cumsum()
         return pd.DataFrame(
@@ -935,10 +886,8 @@ def events_running_total(sf_dir: str, n_buckets: int = 64):
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(bucket_cumsum, batch_format="pandas")
+    return keyed_exchange(
+        ds.map_batches(to_milli, batch_format="pyarrow"), "user_id", bucket_cumsum, n_buckets
     )
 
 
@@ -1158,7 +1107,7 @@ def funnel_counts(sf_dir: str, steps=FUNNEL_STEPS, n_buckets: int = 64):
     import numpy as np
     import pyarrow.compute as _pc
 
-    from ..functions.hashing import crc32_bucket
+    from ..functions.exchange import keyed_exchange
 
     steps = list(steps)
     ds = read_parquet_clean(
@@ -1169,18 +1118,9 @@ def funnel_counts(sf_dir: str, steps=FUNNEL_STEPS, n_buckets: int = 64):
         keep = _pc.is_in(
             batch.column("event_type"), value_set=pa.array(steps)
         )
-        t = batch.filter(keep)
-        return t.append_column(
-            "_bucket", crc32_bucket(t.column("user_id"), n_buckets)
-        )
+        return batch.filter(keep)
 
     def bucket_funnel(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"step": pd.Series([], dtype="int64"),
-             "users": pd.Series([], dtype="int64")}
-        )
-        if not len(group):
-            return empty
         ts = group["ts"].astype("int64")
         etype = group["event_type"]
         uid = group["user_id"]
@@ -1201,10 +1141,8 @@ def funnel_counts(sf_dir: str, steps=FUNNEL_STEPS, n_buckets: int = 64):
              "users": np.array(counts, dtype="int64")}
         )
 
-    partials = (
-        ds.map_batches(prune, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(bucket_funnel, batch_format="pandas")
+    partials = keyed_exchange(
+        ds.map_batches(prune, batch_format="pyarrow"), "user_id", bucket_funnel, n_buckets
     )
 
     def merge(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1241,25 +1179,13 @@ def cohort_retention(sf_dir: str, n_buckets: int = 64):
     a tiny (cohort, offset) census merge."""
     import numpy as np
 
-    from ..functions.hashing import crc32_bucket
+    from ..functions.exchange import keyed_exchange
 
     ds = read_parquet_clean(
         "%s/events.parquet" % sf_dir, columns=["user_id", "ts", "event_type"]
     )
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bucket", crc32_bucket(batch.column("user_id"), n_buckets)
-        )
-
     def bucket_cohorts(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"cohort_week": pd.Series([], dtype="int64"),
-             "week_offset": pd.Series([], dtype="int64"),
-             "users": pd.Series([], dtype="int64")}
-        )
-        if not len(group):
-            return empty
         # normalize to µs regardless of the block's datetime unit
         week = (
             group["ts"].astype("datetime64[us]").astype("int64").to_numpy()
@@ -1287,11 +1213,7 @@ def cohort_retention(sf_dir: str, n_buckets: int = 64):
         cells["users"] = cells["users"].astype("int64")
         return cells
 
-    partials = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(bucket_cohorts, batch_format="pandas")
-    )
+    partials = keyed_exchange(ds, "user_id", bucket_cohorts, n_buckets)
 
     def merge(batch: pd.DataFrame) -> pd.DataFrame:
         if not len(batch):

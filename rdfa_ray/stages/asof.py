@@ -4,8 +4,9 @@ For each left row, attach the right row with the largest ``on`` value
 that is <= the left row's ``on``, within the same ``by`` group
 (e.g. "for each purchase, the user's most recent prior click").
 
-Physical plan (documented partitioning assumption): hash-bucket BOTH
-sides on ``by`` — ONE shuffle — then a per-bucket vectorized
+Physical plan (documented partitioning assumption): ONE keyed exchange
+of BOTH sides on ``by`` (``functions/exchange.co_group``), then a
+per-bucket vectorized
 ``pandas.merge_asof`` over the bucket sorted by ``on``.  Correct
 because an as-of match can only pair rows sharing the ``by`` key, and
 the bucket holds every row of its ``by`` groups.  Bucket load is
@@ -19,7 +20,7 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.hashing import crc32_bucket
+from ..functions.exchange import co_group
 
 
 def asof_join(
@@ -34,66 +35,28 @@ def asof_join(
     left_schema = left_ds.schema()
     right_schema = right_ds.schema()
     left_cols = list(left_schema.names)
-    rename = {
-        c: (c + suffix if c in left_cols else c) for c in right_schema.names
-    }
-    right_cols = [rename[c] for c in right_schema.names]
-
-    from .join import _pa_type
-
-    left_types = {n: _pa_type(t) for n, t in zip(left_schema.names, left_schema.types)}
-    right_types = {
-        rename[n]: _pa_type(t) for n, t in zip(right_schema.names, right_schema.types)
-    }
-
-    def tag(side):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            out = {}
-            if side == "l":
-                for c in left_cols:
-                    out[c] = batch.column(c)
-                for c in right_cols:
-                    out[c] = pa.nulls(n, right_types[c])
-            else:
-                inv = {v: k for k, v in rename.items()}
-                for c in left_cols:
-                    out[c] = pa.nulls(n, left_types[c])
-                for c in right_cols:
-                    out[c] = batch.column(inv[c])
-            # `by` is the ORIGINAL column name on both input sides
-            # (rename applies to output columns only)
-            out["__bucket"] = crc32_bucket(batch.column(by), n_buckets)
-            out["__side"] = pa.repeat(pa.scalar(side, pa.string()), n)
-            return pa.Table.from_pydict(out)
-
-        return fn
-
-    tagged = left_ds.map_batches(tag("l"), batch_format="pyarrow").union(
-        right_ds.map_batches(tag("r"), batch_format="pyarrow")
-    )
-
-    on_r = rename[on]
-    by_r = rename[by]
+    right_cols = [c + suffix if c in left_cols else c for c in right_schema.names]
+    on_r = right_cols[right_schema.names.index(on)]
+    by_r = right_cols[right_schema.names.index(by)]
     all_cols = left_cols + right_cols
 
-    empty_template = pa.table(
-        {c: pa.array([], type={**left_types, **right_types}[c]) for c in all_cols}
-    ).to_pandas()
-
-    def join_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        l = group[group["__side"] == "l"][left_cols].sort_values(on, kind="mergesort")
-        r = group[group["__side"] == "r"][right_cols].sort_values(on_r, kind="mergesort")
-        if len(l) == 0:
-            return empty_template.copy()
+    def join_bucket(lt: pa.Table, rt: pa.Table) -> pd.DataFrame:
+        lt = lt.select(left_cols)
+        rt = rt.select(right_schema.names).rename_columns(right_cols)
+        if not lt.num_rows:
+            return pa.schema([*lt.schema, *rt.schema]).empty_table().to_pandas()
+        l = lt.to_pandas().sort_values(on, kind="mergesort")
+        r = rt.to_pandas().sort_values(on_r, kind="mergesort")
         if len(r) == 0:
-            out = l.copy()
             for c in right_cols:
-                out[c] = pd.Series([None] * len(out), index=out.index)
-            return out[all_cols]
+                l[c] = pd.Series([None] * len(l), index=l.index)
+            return l[all_cols]
         return pd.merge_asof(
             l, r, left_on=on, right_on=on_r, left_by=by, right_by=by_r,
             direction="backward",
         )[all_cols]
 
-    return tagged.groupby("__bucket").map_groups(join_bucket, batch_format="pandas")
+    return co_group(
+        left_ds, right_ds, by, join_bucket, n_buckets,
+        left_schema=left_schema, right_schema=right_schema,
+    )

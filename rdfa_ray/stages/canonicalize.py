@@ -13,9 +13,10 @@ Semantics (deterministic):
     graph are rewritten too (a second join keyed on (graph,
     obj_value)), so intra-document edges stay consistent.
 
-Physical plan: an explicit partitioned hash join — both row kinds get
-``bucket = crc32(graph) % B``; ``groupby(bucket)`` co-locates a
-subject's triples with its link evidence; inside each bucket one Arrow
+Physical plan: an explicit partitioned hash join — both row kinds go
+through one keyed exchange on ``graph`` (``functions/exchange``,
+``crc32(graph) % B`` buckets), which co-locates a subject's triples
+with its link evidence; inside each bucket one Arrow
 kernel (``canonicalize_table``: sort + ordered group-by for the best
 link, two left ``Table.join`` lookups, ``if_else`` rewrites) does the
 work over the whole bucket (never per-(graph,subj) Python calls —
@@ -37,22 +38,7 @@ OWL_SAME_AS = "http://www.w3.org/2002/07/owl#sameAs"
 
 N_BUCKETS = 256
 
-_DROP = ["_row_kind", "entity", "score", "bucket"]
-
-
-def _add_bucket(batch: pa.Table, n_buckets: int) -> pa.Table:
-    # bucket by graph (per-turn document IRI): co-locates a document's
-    # whole triple set, which both the subject- and the object-position
-    # rewrites need; per-graph size is bounded by document size, so the
-    # key is uniform (hot ENTITIES only emerge after rewrite, in
-    # downstream aggregates — see stages.aggregate combiners).
-    # crc32 over batch-unique graphs (vectorized broadcast), identical
-    # assignment to the per-row list-comp it replaces.
-    from ..functions.hashing import crc32_bucket
-
-    return batch.append_column(
-        "bucket", crc32_bucket(batch.column("graph"), n_buckets)
-    )
+_DROP = ["_row_kind", "entity", "score"]
 
 
 def canonicalize_table(table: pa.Table) -> pa.Table:
@@ -161,11 +147,15 @@ def canonicalize(augmented_ds, n_buckets: int = N_BUCKETS,
     serialized the canonicalize kernel into 2 reduce tasks (measured
     2 x 1.8 s at sf0.1; 2.5 s -> 1.0 s of exchange+kernel after the
     split).  0 disables."""
+    from ..functions.exchange import keyed_exchange
+
     if pre_blocks:
         augmented_ds = augmented_ds.repartition(pre_blocks)
-    bucketed = augmented_ds.map_batches(
-        lambda b: _add_bucket(b, n_buckets), batch_format="pyarrow"
-    )
-    return bucketed.groupby("bucket").map_groups(
-        canonicalize_table, batch_format="pyarrow"
+    # bucket by graph (per-turn document IRI): co-locates a document's
+    # whole triple set, which both the subject- and the object-position
+    # rewrites need; per-graph size is bounded by document size, so the
+    # key is uniform (hot ENTITIES only emerge after rewrite, in
+    # downstream aggregates — see stages.aggregate combiners)
+    return keyed_exchange(
+        augmented_ds, "graph", canonicalize_table, n_buckets, "pyarrow"
     )

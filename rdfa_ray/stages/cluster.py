@@ -210,13 +210,10 @@ def exact_dup_clusters(docs_ds, n_buckets: int = 64, iters: int = 1):
     diameter 1 from the keeper, so ONE propagation round is exact.
     SQL-oracle-equivalent: ``MIN(doc_id) OVER (PARTITION BY md5(text))``.
     """
-    from ..functions.hashing import crc32_bucket
+    from ..functions.exchange import keyed_exchange
     from .dedup import _text_md5_batch
 
     hashed = docs_ds.map_batches(_text_md5_batch, batch_format="pyarrow")
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column("__g", crc32_bucket(batch.column("h"), n_buckets))
 
     def star_edges(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values("doc_id")
@@ -233,11 +230,7 @@ def exact_dup_clusters(docs_ds, n_buckets: int = 64, iters: int = 1):
              "b": rest["doc_id"].to_numpy()}
         )
 
-    edges = (
-        hashed.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__g")
-        .map_groups(star_edges, batch_format="pandas")
-    )
+    edges = keyed_exchange(hashed, "h", star_edges, n_buckets)
     nodes = docs_ds.map_batches(
         lambda t: pa.Table.from_pydict({"node": t.column("doc_id")}),
         batch_format="pyarrow",

@@ -60,29 +60,18 @@ def exact_dup_drops(docs_ds, n_buckets: int = 64):
     (doc_id, 16-byte hash) pairs shuffle here)."""
     import pandas as pd
 
-    from ..functions.hashing import crc32_bucket
+    from ..functions.exchange import keyed_exchange
 
     hashed = docs_ds.map_batches(_text_md5_batch, batch_format="pyarrow")
 
-    def bucketed(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", crc32_bucket(batch.column("h"), n_buckets)
-        )
-
     def drops(group: pd.DataFrame) -> pa.Table:
-        if not len(group):
-            return pa.Table.from_pydict({"doc_id": pa.array([], pa.int64())})
         keeper = group.groupby("h", sort=False)["doc_id"].transform("min")
         out = group.loc[group["doc_id"].to_numpy() != keeper.to_numpy(), "doc_id"]
         return pa.Table.from_pydict(
             {"doc_id": pa.array(out.to_numpy(dtype="int64"), pa.int64())}
         )
 
-    return (
-        hashed.map_batches(bucketed, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(drops, batch_format="pandas")
-    )
+    return keyed_exchange(hashed, "h", drops, n_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +217,10 @@ def substring_dup_pairs(docs_ds, window: int = 8, min_shared: int = 2, n_buckets
     (a, b) yields ``n_shared``, filtered map-side.  Returns
     (a, b, n_shared, pair_mode); for star pairs ``n_shared`` is a
     lower bound (documented, observable via pair_mode)."""
-    from ..functions.hashing import crc32_bucket, crc32_bucket_concat
+    from ..functions.exchange import keyed_exchange
     from .text import rolling_fingerprints
 
     fps = rolling_fingerprints(docs_ds, window)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__g", crc32_bucket(batch.column("fp"), n_buckets)
-        )
 
     def pairs_block(group: pd.DataFrame) -> pd.DataFrame:
         g = group.drop_duplicates(["fp", "doc_id"])
@@ -247,11 +231,7 @@ def substring_dup_pairs(docs_ds, window: int = 8, min_shared: int = 2, n_buckets
         outs = [_bucket_pairs(sub) for _, sub in g.groupby("fp", sort=False)]
         return pd.concat(outs, ignore_index=True)
 
-    pairs = (
-        fps.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__g")
-        .map_groups(pairs_block, batch_format="pandas")
-    )
+    pairs = keyed_exchange(fps, "fp", pairs_block, n_buckets)
 
     def partial_count(batch: pd.DataFrame) -> pd.DataFrame:
         if not len(batch):
@@ -266,20 +246,11 @@ def substring_dup_pairs(docs_ds, window: int = 8, min_shared: int = 2, n_buckets
             .agg(n=("a", "size"), pair_mode=("pair_mode", "min"))
             .reset_index()
         )
-        tbl = pa.Table.from_pandas(out, preserve_index=False)
-        return tbl.append_column(
-            "__bucket", crc32_bucket_concat(tbl, ["a", "b"], n_buckets)
+        return pa.Table.from_pandas(
+            out, preserve_index=False
         ).replace_schema_metadata(None)
 
     def reduce_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"a": pd.Series([], dtype="int64"),
-             "b": pd.Series([], dtype="int64"),
-             "n_shared": pd.Series([], dtype="int64"),
-             "pair_mode": pd.Series([], dtype="object")}
-        )
-        if not len(group):
-            return empty
         out = (
             group.groupby(["a", "b"], sort=False)
             .agg(n_shared=("n", "sum"), pair_mode=("pair_mode", "min"))
@@ -289,10 +260,9 @@ def substring_dup_pairs(docs_ds, window: int = 8, min_shared: int = 2, n_buckets
         out["n_shared"] = out["n_shared"].astype("int64")
         return out.reset_index(drop=True)
 
-    return (
-        pairs.map_batches(partial_count, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(reduce_pairs, batch_format="pandas")
+    return keyed_exchange(
+        pairs.map_batches(partial_count, batch_format="pandas"),
+        ["a", "b"], reduce_pairs, n_buckets,
     )
 
 
@@ -320,7 +290,7 @@ def minhash_dedup(docs_ds, threshold: float = 0.8, concurrency=(2, 8), n_buckets
     """
     from .join import bucketed_hash_join
 
-    from ..functions.hashing import crc32_bucket_concat
+    from ..functions.exchange import keyed_exchange
 
     # elastic tasks (per-worker cached hasher) rather than an actor
     # pool: the hasher state is two numpy arrays, and a pool pays
@@ -335,11 +305,6 @@ def minhash_dedup(docs_ds, threshold: float = 0.8, concurrency=(2, 8), n_buckets
     # singletons).  Inside a coarse group, singleton LSH buckets are
     # dropped vectorized; the pair loop touches only colliding buckets
     # (proportional to actual duplicates, not corpus size).
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__g", crc32_bucket_concat(batch, ["band", "band_hash"], n_buckets)
-        )
-
     def pairs_block(group: pd.DataFrame) -> pd.DataFrame:
         g = group.drop_duplicates(["band", "band_hash", "doc_id"])
         sizes = g.groupby(["band", "band_hash"])["doc_id"].transform("size")
@@ -352,11 +317,7 @@ def minhash_dedup(docs_ds, threshold: float = 0.8, concurrency=(2, 8), n_buckets
         ]
         return pd.concat(outs, ignore_index=True)
 
-    pairs = (
-        banded.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__g")
-        .map_groups(pairs_block, batch_format="pandas")
-    )
+    pairs = keyed_exchange(banded, ["band", "band_hash"], pairs_block, n_buckets)
     # map-side partial dedup shrinks the shuffle; the GLOBAL distinct on
     # (a, b) is folded into the first text join below (its bucket key is
     # `a`, so every duplicate of a pair co-locates there — no separate
@@ -560,7 +521,7 @@ def simhash_batch(batch: pa.Table) -> pa.Table:
 
 
 def simhash_dedup(docs_ds, max_hamming: int = 3, n_buckets: int = 64):
-    from ..functions.hashing import crc32_bucket_concat
+    from ..functions.exchange import keyed_exchange
     from .distinct import distinct
 
     banded = docs_ds.map_batches(
@@ -569,11 +530,6 @@ def simhash_dedup(docs_ds, max_hamming: int = 3, n_buckets: int = 64):
 
     # same coarse-bucket pattern as minhash_dedup: one shuffle into B
     # groups, vectorized singleton drop, pair loop only over collisions
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__g", crc32_bucket_concat(batch, ["band", "key"], n_buckets)
-        )
-
     def pairs_block(group: pd.DataFrame) -> pd.DataFrame:
         g = group.drop_duplicates(["band", "key", "doc_id"])
         sizes = g.groupby(["band", "key"])["doc_id"].transform("size")
@@ -586,11 +542,7 @@ def simhash_dedup(docs_ds, max_hamming: int = 3, n_buckets: int = 64):
         ]
         return pd.concat(outs, ignore_index=True)
 
-    pairs = (
-        banded.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__g")
-        .map_groups(pairs_block, batch_format="pandas")
-    )
+    pairs = keyed_exchange(banded, ["band", "key"], pairs_block, n_buckets)
     # distributed distinct on the pair key (was per-pair head(1));
     # hamming rides along (identical for every occurrence of a pair)
     return distinct(pairs, ["a", "b"], extra=["hamming", "pair_mode"])
@@ -1007,7 +959,7 @@ def dedup_lines(
     which first-occurrence semantics cap at one surviving row."""
     import numpy as np
 
-    from ..functions.hashing import crc32_bucket
+    from ..functions.exchange import keyed_exchange
 
     out_sep = sep if out_sep is None else out_sep
 
@@ -1016,7 +968,6 @@ def dedup_lines(
             (id_col, pa.int64()),
             ("line_idx", pa.int64()),
             ("line", pa.large_string()),
-            ("_bucket", pa.int32()),
         ]
     )
 
@@ -1042,32 +993,17 @@ def dedup_lines(
             }
         )
         out = out.filter(pc.not_equal(out.column("line"), ""))
-        return out.append_column(
-            "_bucket", crc32_bucket(out.column("line"), n_buckets)
-        ).cast(lines_schema)
+        return out.cast(lines_schema)
 
     exploded = docs.map_batches(explode, batch_format="pyarrow")
 
-    kept_empty = pd.DataFrame(
-        {
-            id_col: pd.Series([], dtype="int64"),
-            "line_idx": pd.Series([], dtype="int64"),
-            "line": pd.Series([], dtype=str),
-            "_dbucket": pd.Series([], dtype="int32"),
-        }
-    )
-
     def keep_first(group: pd.DataFrame) -> pd.DataFrame:
-        if not len(group):
-            return kept_empty
         g = group.sort_values(["line", id_col, "line_idx"], kind="mergesort")
         g = g.drop_duplicates("line")[[id_col, "line_idx", "line"]]
         g["_dbucket"] = (g[id_col] % n_buckets).astype("int32")
         return g
 
-    kept = exploded.groupby("_bucket").map_groups(
-        keep_first, batch_format="pandas"
-    )
+    kept = keyed_exchange(exploded, "line", keep_first, n_buckets)
 
     out_schema = pa.schema(
         [(id_col, pa.int64()), ("text", pa.large_string()), ("n_lines", pa.int64())]
@@ -1135,7 +1071,7 @@ def paragraph_dedup(docs_ds, sep: str = "\n\n", min_chars: int = 1,
     import pandas as pd
     import ray
 
-    from ..functions.hashing import crc32_bucket
+    from ..functions.exchange import keyed_exchange
 
     def _explode(batch: pd.DataFrame):
         paras = batch["text"].fillna("").str.split(sep, regex=False)
@@ -1172,30 +1108,14 @@ def paragraph_dedup(docs_ds, sep: str = "\n\n", min_chars: int = 1,
 
     keys = docs_ds.map_batches(explode_keys, batch_format="pandas")
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bucket", crc32_bucket(batch.column("h"), n_buckets)
-        )
-
     def drops(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"doc_id": pd.Series([], dtype="int64"),
-             "idx": pd.Series([], dtype="int64")}
-        )
-        if not len(group):
-            return empty
         g = group.sort_values(["h", "doc_id", "idx"], kind="mergesort")
         dup = g["h"].duplicated(keep="first")
         return g.loc[dup, ["doc_id", "idx"]].astype(
             {"doc_id": "int64", "idx": "int64"}
         )
 
-    drop_df = (
-        keys.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(drops, batch_format="pandas")
-        .to_pandas()
-    )
+    drop_df = keyed_exchange(keys, "h", drops, n_buckets).to_pandas()
     if len(drop_df) > broadcast_limit:
         raise ValueError(
             "paragraph drop-set (%d) exceeds broadcast_limit (%d) — "

@@ -7,8 +7,9 @@ pattern the engine uses everywhere:
 
   1. map-side partial dedup inside ``map_batches`` (Arrow ``group_by``
      — vectorized, shrinks the shuffle to unique-per-block rows), then
-  2. one hash-bucketed groupby whose per-bucket kernel is a single
-     vectorized ``drop_duplicates`` over the whole bucket.
+  2. one keyed exchange (``functions/exchange.keyed_exchange``) whose
+     per-bucket kernel is a single vectorized ``drop_duplicates`` over
+     the whole bucket.
 
 ``extra`` columns ride along with deterministic min-semantics (the
 lexicographically smallest extra tuple per key survives — associative,
@@ -20,7 +21,7 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.hashing import crc32_bucket_concat
+from ..functions.exchange import keyed_exchange
 
 N_BUCKETS = 64
 
@@ -58,9 +59,7 @@ def distinct(ds, cols, n_buckets: int = N_BUCKETS, extra=()):
         else:
             g = t.group_by(cols).aggregate([])
             g = g.select(cols)
-        return g.append_column(
-            "__bucket", crc32_bucket_concat(g, cols, n_buckets)
-        )
+        return g
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
 
@@ -69,6 +68,4 @@ def distinct(ds, cols, n_buckets: int = N_BUCKETS, extra=()):
             group = group.sort_values(out_cols, kind="mergesort")
         return group.drop_duplicates(cols)[out_cols]
 
-    return partials.groupby("__bucket").map_groups(
-        bucket_distinct, batch_format="pandas"
-    )
+    return keyed_exchange(partials, cols, bucket_distinct, n_buckets)

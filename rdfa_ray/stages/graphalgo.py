@@ -26,6 +26,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.hashing import splitmix64
 from .join import bucketed_hash_join
 
 _EDGE_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
@@ -303,31 +304,18 @@ def kcore(edges_ds, k: int, max_iters: int = 10_000, n_buckets: int = 32):
             return out
 
         def merge(group: pd.DataFrame) -> pd.DataFrame:
-            if not len(group):
-                return pd.DataFrame(
-                    {"node": pd.Series([], dtype="int64"),
-                     "degree": pd.Series([], dtype="int64")}
-                )
             out = group.groupby("node", sort=False)["d"].sum().reset_index(
                 name="degree"
             )
             out["degree"] = out["degree"].astype("int64")
             return out
 
-        from ..functions.hashing import crc32_bucket
+        from ..functions.exchange import keyed_exchange
 
-        def bucket(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "_bucket", crc32_bucket(batch.column("node"), n_buckets)
-            )
-
-        return (
-            es.map_batches(endpoints, batch_format="pyarrow")
-            .map_batches(partial, batch_format="pandas")
-            .map_batches(bucket, batch_format="pyarrow")
-            .groupby("_bucket")
-            .map_groups(merge, batch_format="pandas")
+        partials = es.map_batches(endpoints, batch_format="pyarrow").map_batches(
+            partial, batch_format="pandas"
         )
+        return keyed_exchange(partials, "node", merge, n_buckets)
 
     from .bloom import bloom_anti_join
 
@@ -370,15 +358,6 @@ def kcore(edges_ds, k: int, max_iters: int = 10_000, n_buckets: int = 32):
 
 
 _PAIR_SCHEMA = pa.schema([("u", pa.int64()), ("v", pa.int64())])
-
-
-def _graph_mix(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer (public-domain constants) for
-    bucketing integer node ids — sequential ids land uniformly."""
-    x = (x + np.uint64(0x9E3779B97F4A7C15))
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
 
 
 def neighbor_similarity(
@@ -512,7 +491,7 @@ def neighbor_similarity(
 
     def add_center_bucket(batch: pa.Table) -> pa.Table:
         c = batch.column("center").to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = (_graph_mix(c) % np.uint64(n_buckets)).astype(np.int32)
+        b = (splitmix64(c) % np.uint64(n_buckets)).astype(np.int32)
         return batch.append_column("cb", pa.array(b, pa.int32()))
 
     def _pair_table(u, v, n_arr, pb) -> pa.Table:
@@ -570,7 +549,7 @@ def neighbor_similarity(
         if packable:
             pk = _pack(u, v)
             uniq, n_arr = np.unique(pk, return_counts=True)
-            pb = (_graph_mix(uniq.astype(np.uint64)) % np.uint64(n_buckets)).astype(np.int32)
+            pb = (splitmix64(uniq.astype(np.uint64)) % np.uint64(n_buckets)).astype(np.int32)
             pt = pa.Table.from_pydict(
                 {
                     "pk": pa.array(uniq, pa.int64()),
@@ -585,8 +564,8 @@ def neighbor_similarity(
             pu = uniq[:, 0]
             pv = uniq[:, 1]
             pb = (
-                (_graph_mix(pu.astype(np.uint64)) * np.uint64(0x9E3779B9)
-                 + _graph_mix(pv.astype(np.uint64)))
+                (splitmix64(pu.astype(np.uint64)) * np.uint64(0x9E3779B9)
+                 + splitmix64(pv.astype(np.uint64)))
                 % np.uint64(n_buckets)
             ).astype(np.int32)
             pt = pa.Table.from_pydict(

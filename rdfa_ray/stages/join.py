@@ -1,12 +1,13 @@
 """Generic joins for two large sides (neither broadcastable).
 
 The portable Ray Data pattern (no reliance on a version-specific
-``Dataset.join``): add ``__bucket = hash(key) % B`` to BOTH sides, tag
-the side, align the two schemas (null-padding), union, and hash-join
-each ``groupby(__bucket)`` group with a vectorized pandas merge.  B is
-sized so a bucket's build side fits a worker's heap; hot keys are
-handled by the uniform hash (raise B to sub-split further — each
-bucket's cost is O(rows_in_bucket)).
+``Dataset.join``): both sides go through ONE keyed exchange,
+``functions/exchange.co_group`` — side tag, null-padding to one
+declared schema, union, ``crc32(key) % B`` buckets — and each bucket
+is hash-joined with a vectorized pandas merge.  B is sized so a
+bucket's build side fits a worker's heap; a hot key is split with
+``salt`` (see ``co_group``).  Every other keyed exchange in the engine
+uses the same module (``keyed_exchange`` for one input).
 """
 
 from __future__ import annotations
@@ -14,21 +15,7 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
-_PY_TO_PA = {str: pa.string(), int: pa.int64(), float: pa.float64(),
-             bool: pa.bool_(), bytes: pa.binary()}
-
-
-def _pa_type(t):
-    """Ray Schema.types may hold Python types (pandas-produced
-    datasets) instead of Arrow DataTypes; normalize."""
-    if isinstance(t, pa.DataType):
-        return t
-    if t in _PY_TO_PA:
-        return _PY_TO_PA[t]
-    try:
-        return pa.from_numpy_dtype(t)
-    except (TypeError, pa.ArrowNotImplementedError):
-        return pa.string()
+from ..functions.exchange import co_group
 
 
 def bucketed_hash_join(
@@ -75,14 +62,11 @@ def bucketed_hash_join(
             "bucketed_hash_join supports how='inner'/'left'/'right'/"
             "'outer'/'semi'/'anti' only, got %r" % how
         )
-    # ``salt`` > 1: hot-KEY splitting.  Raising n_buckets cannot split
-    # ONE key (all its rows hash to one bucket); salting can: each left
-    # row lands in sub-bucket base*salt + crc32(row)%salt, and the
-    # right side replicates into ALL ``salt`` sub-buckets, so a whale
-    # key's probe rows spread over ``salt`` parallel merges at the cost
-    # of a salt-fold right-side shuffle.  Exact for the left-preserving
-    # modes (each left row meets the full right partition for its key
-    # exactly once); right/full-outer would emit right rows once per
+    # ``salt`` > 1 splits a hot key (raising n_buckets cannot: all of
+    # one key's rows hash to one bucket) at the cost of a salt-fold
+    # right-side shuffle — see ``co_group``.  Each left row meets its
+    # key's full right side exactly once, so the left-preserving modes
+    # stay exact; right/full-outer would emit right rows once per
     # sub-bucket, so they refuse.  Fully-identical left rows share a
     # salt — row-level duplicates need ``left_distinct``, not salt.
     if salt > 1 and how in ("right", "outer"):
@@ -100,7 +84,6 @@ def bucketed_hash_join(
             "(duplicates spread across sub-buckets); pre-distinct the "
             "left side instead"
         )
-    salt = max(1, int(salt))
     # pa.Schema and ray Schema expose the same .names/.types surface
     left_schema = left_schema if left_schema is not None else left_ds.schema()
     right_schema = (
@@ -112,89 +95,16 @@ def bucketed_hash_join(
         for c in right_schema.names
     }
     right_cols = [rename[c] for c in right_schema.names if c != on]
-    left_types = {n: _pa_type(t) for n, t in zip(left_schema.names, left_schema.types)}
-    right_types = {
-        rename[n]: _pa_type(t)
-        for n, t in zip(right_schema.names, right_schema.types)
-        if n != on
-    }
-    all_cols = left_cols + right_cols  # key stays in left position
 
-    def tag(side):
-        def fn(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
+    # The per-bucket kernel converts each side to pandas with MASKED
+    # integer dtypes (see _int_preserving_df) and emits Arrow with one
+    # explicit schema — block schemas stay stable and int64 values
+    # above 2^53 stay exact through the merge's null padding.
+    out_cols = left_cols if how in ("semi", "anti") else left_cols + right_cols
 
-            from ..functions.hashing import crc32_bucket
-
-            def typed(col, want):
-                # align actual to declared (e.g. a large_string block
-                # meeting a string declaration) so the union's blocks
-                # share ONE schema; no-op when they already match
-                return col if col.type == want else pc.cast(col, want)
-
-            n = batch.num_rows
-            out = {}
-            if side == "l":
-                for c in left_cols:
-                    out[c] = typed(batch.column(c), left_types[c])
-                for c in right_cols:
-                    out[c] = pa.nulls(n, right_types[c])
-            else:
-                for c in left_cols:
-                    if c == on:
-                        out[c] = typed(batch.column(on), left_types[on])
-                    else:
-                        out[c] = pa.nulls(n, left_types[c])
-                inv = {v: k for k, v in rename.items()}
-                for c in right_cols:
-                    out[c] = typed(batch.column(inv[c]), right_types[c])
-            base = crc32_bucket(batch.column(on), n_buckets)
-            if salt == 1:
-                out["__bucket"] = base
-                out["__side"] = pa.array([side] * n, pa.string())
-                return pa.Table.from_pydict(out)
-            import numpy as np
-
-            from ..functions.hashing import crc32_bucket_concat
-
-            base_np = base.to_numpy(zero_copy_only=False).astype(np.int32)
-            out["__side"] = pa.array([side] * n, pa.string())
-            if side == "l":
-                srow = crc32_bucket_concat(
-                    batch, left_cols, salt
-                ).to_numpy(zero_copy_only=False).astype(np.int32)
-                out["__bucket"] = pa.array(base_np * salt + srow, pa.int32())
-                return pa.Table.from_pydict(out)
-            t0 = pa.Table.from_pydict(out)
-            return pa.concat_tables(
-                t0.append_column(
-                    "__bucket", pa.array(base_np * salt + s, pa.int32())
-                )
-                for s in range(salt)
-            )
-
-        return fn
-
-    tagged = left_ds.map_batches(tag("l"), batch_format="pyarrow").union(
-        right_ds.map_batches(tag("r"), batch_format="pyarrow")
-    )
-
-    join_cols_l = left_cols
-    join_cols_r = [on] + right_cols
-
-    # The per-bucket kernel converts its Arrow group to pandas with
-    # MASKED integer dtypes (see _int_preserving_df) and emits Arrow
-    # with one explicit schema — block schemas stay stable and int64
-    # values above 2^53 survive the null-padded union bit-exactly.
-    out_cols = left_cols if how in ("semi", "anti") else all_cols
-    out_schema = pa.schema(
-        [(c, {**left_types, **right_types}[c]) for c in out_cols]
-    )
-    empty_table = out_schema.empty_table()
-
-    def _int_preserving_df(group: pa.Table) -> pd.DataFrame:
-        # Arrow -> pandas decays int columns containing nulls (the
-        # union's padding) to float64, silently corrupting values above
+    def _int_preserving_df(t: pa.Table) -> pd.DataFrame:
+        # Arrow -> pandas decays int columns containing nulls (an outer
+        # merge's padding) to float64, silently corrupting values above
         # 2^53 (e.g. packed/hashed 63-bit ids); masked integer dtypes
         # keep every bit exact through the merge
         def mapper(t):
@@ -212,23 +122,24 @@ def bucketed_hash_join(
                 return pd.UInt32Dtype()
             return None
 
-        return group.to_pandas(types_mapper=mapper)
+        return t.to_pandas(types_mapper=mapper)
 
-    def join_bucket(arrow_group: pa.Table) -> pa.Table:
-        group = _int_preserving_df(arrow_group)
-        l = group[group["__side"] == "l"][join_cols_l]
-        r = group[group["__side"] == "r"][join_cols_r]
+    def join_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        rt = rt.rename_columns([rename[c] for c in rt.column_names])
+        fields = {f.name: f for f in (*rt.schema, *lt.schema)}
+        out_schema = pa.schema([fields[c] for c in out_cols])
+        nl, nr = lt.num_rows, rt.num_rows
         # mode-aware early-out: empty only when the preserved side(s)
         # cannot produce a row
         if (
-            (how in ("inner", "semi") and (len(l) == 0 or len(r) == 0))
-            or (how in ("left", "anti") and len(l) == 0)
-            or (how == "right" and len(r) == 0)
-            or (how == "outer" and len(l) == 0 and len(r) == 0)
+            (how in ("inner", "semi") and (nl == 0 or nr == 0))
+            or (how in ("left", "anti") and nl == 0)
+            or (how == "right" and nr == 0)
         ):
-            return empty_table
+            return out_schema.empty_table()
+        l, r = _int_preserving_df(lt), _int_preserving_df(rt)
         if left_distinct:
-            l = l.sort_values(join_cols_l, kind="mergesort").drop_duplicates(
+            l = l.sort_values(left_cols, kind="mergesort").drop_duplicates(
                 left_distinct
             )
         if how in ("semi", "anti"):
@@ -237,11 +148,12 @@ def bucketed_hash_join(
         else:
             merged = l.merge(r, on=on, how=how)
         # strip the b'pandas' schema metadata: blocks must be
-        # byte-identical in schema to the metadata-less empty_table
+        # byte-identical in schema to the metadata-less empty table
         return pa.Table.from_pandas(
             merged[out_cols], schema=out_schema, preserve_index=False
         ).replace_schema_metadata(None)
 
-    return tagged.groupby("__bucket").map_groups(
-        join_bucket, batch_format="pyarrow"
+    return co_group(
+        left_ds, right_ds, on, join_bucket, n_buckets, salt=salt,
+        left_schema=left_schema, right_schema=right_schema,
     )

@@ -35,6 +35,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.hashing import splitmix64
+
 
 def _stack(batch: pa.Table, id_col: str, vec_col: str):
     ids = batch.column(id_col).to_numpy(zero_copy_only=False)
@@ -43,15 +45,10 @@ def _stack(batch: pa.Table, id_col: str, vec_col: str):
 
 
 def _mix64(ids: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over int64 ids — vectorized deterministic
-    uniform hash for seed-sample membership (wraps mod 2^64)."""
-    x = ids.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x
+    """splitmix64's finalizer without its golden-ratio increment, over
+    int64 ids — vectorized deterministic uniform hash for seed-sample
+    membership (wraps mod 2^64)."""
+    return splitmix64(ids.astype(np.uint64) - np.uint64(0x9E3779B97F4A7C15))
 
 
 def farthest_point_seeds(ids: np.ndarray, vecs: np.ndarray, k: int) -> np.ndarray:

@@ -66,7 +66,7 @@ def grouped_quantiles(
     """
     from ray.data.aggregate import Sum
 
-    from ..functions.hashing import crc32_bucket
+    from ..functions.exchange import keyed_exchange
 
     def partial(batch: pa.Table) -> pa.Table:
         # block-local histogram: the only thing that shuffles
@@ -85,23 +85,9 @@ def grouped_quantiles(
         max_hist_rows=max_hist_rows,
     )
 
-    # second exchange keys only the group (histogram rows are already
-    # few); the per-bucket kernel is one vectorized cumsum scan
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", crc32_bucket(batch.column(group), n_buckets)
-        )
-
     qcols = ["q%d" % round(q * 100) for q in qs]
 
-    def empty() -> pd.DataFrame:
-        cols = {group: pd.Series(dtype="object")}
-        cols.update({c: pd.Series(dtype="int64") for c in qcols})
-        return pd.DataFrame(cols)
-
     def bucket_quantiles(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return empty()
         g = g.sort_values([group, value], kind="mergesort")
         cum = g.groupby(group, sort=False)["n"].cumsum().to_numpy()
         totals = g.groupby(group, sort=False)["n"].transform("sum").to_numpy()
@@ -120,11 +106,9 @@ def grouped_quantiles(
             out[c] = out[c].astype("int64")
         return out
 
-    return (
-        hist.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_quantiles, batch_format="pandas")
-    )
+    # second exchange keys only the group (histogram rows are already
+    # few); the per-bucket kernel is one vectorized cumsum scan
+    return keyed_exchange(hist, group, bucket_quantiles, n_buckets)
 
 def grouped_quantiles_cont(
     ds,
@@ -157,7 +141,7 @@ def grouped_quantiles_cont(
     """
     from ray.data.aggregate import Sum
 
-    from ..functions.hashing import crc32_bucket
+    from ..functions.exchange import keyed_exchange
 
     for k in qs_pct:
         if not (isinstance(k, int) and 0 <= k <= 100):
@@ -179,17 +163,7 @@ def grouped_quantiles_cont(
         max_hist_rows=max_hist_rows,
     )
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", crc32_bucket(batch.column(group), n_buckets)
-        )
-
     qcols = ["q%d_micro" % k for k in qs_pct]
-
-    def empty() -> pd.DataFrame:
-        cols = {group: pd.Series(dtype="object")}
-        cols.update({c: pd.Series(dtype="int64") for c in qcols})
-        return pd.DataFrame(cols)
 
     def rank_lookup(g: pd.DataFrame, cum: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         """Value of the rank-th order statistic per group (ranks is
@@ -203,8 +177,6 @@ def grouped_quantiles_cont(
         )
 
     def bucket_quantiles(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return empty()
         g = g.sort_values([group, value], kind="mergesort")
         cum = g.groupby(group, sort=False)["n"].cumsum().to_numpy()
         totals = g.groupby(group, sort=False)["n"].transform("sum").to_numpy()
@@ -230,8 +202,4 @@ def grouped_quantiles_cont(
             out[c] = out[c].astype("int64")
         return out
 
-    return (
-        hist.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_quantiles, batch_format="pandas")
-    )
+    return keyed_exchange(hist, group, bucket_quantiles, n_buckets)

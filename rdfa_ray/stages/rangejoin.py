@@ -6,8 +6,9 @@ time-window join a training-data pipeline uses for e.g. "clicks in the
 hour before each purchase" (reference analogue: none; this is one of
 the extra large-scale ops, like ``stages/asof.py``).
 
-Scale plan (the ``stages/join.py`` shape): ONE all-to-all on
-``crc32(by) % n_buckets`` co-locates each key's rows from both sides;
+Scale plan (the ``stages/join.py`` shape): ONE keyed exchange
+(``functions/exchange.co_group``) on ``by`` co-locates each key's rows
+from both sides;
 inside a bucket everything is vectorized — ``pd.factorize`` maps keys
 to dense codes, each row becomes a single int64 composite
 ``code * span + (ts - ts_min)``, and the per-left-row match count is
@@ -24,6 +25,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from ..functions.exchange import co_group
 
 
 def range_join_count(
@@ -43,57 +46,28 @@ def range_join_count(
 
     Both sides need ``by`` + ``ts_col`` (+ ``keep`` extras on the
     left).  Timestamps are compared at microsecond precision.
-    Returns ``keep`` columns + ``count_col`` as a typed Arrow block
-    (the union's null padding decays pandas int columns to float64;
-    ``keep_schema`` — default all-int64 — restores the real types, the
-    ``stages/join.py`` pattern)."""
+    Returns ``keep`` columns + ``count_col`` as a typed Arrow block;
+    ``keep_schema`` (default all-int64) declares the ``keep`` types."""
     keep = keep or []
     if keep_schema is None:
         keep_schema = pa.schema([(c, pa.int64()) for c in keep])
     out_schema = pa.schema(list(keep_schema) + [pa.field(count_col, pa.int64())])
     empty_table = out_schema.empty_table()
+    # casting to us normalizes first — a timestamp[ns] input (pandas
+    # default) would otherwise silently shrink the window 1000x
+    ts_field = pa.field(ts_col, pa.timestamp("us"))
+    left_schema = pa.schema([ts_field, *(f for f in keep_schema if f.name != by)])
 
-    def tag(side: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            from ..functions.hashing import crc32_bucket
-
-            n = batch.num_rows
-            # normalize to us first — a timestamp[ns] input (pandas
-            # default) would otherwise silently shrink the window 1000x
-            ts = pc.cast(batch.column(ts_col), pa.timestamp("us"))
-            out = {
-                "__by": batch.column(by),
-                "__ts": pc.cast(ts, pa.int64()),
-            }
-            for c in keep:
-                out[c] = (
-                    batch.column(c)
-                    if side == "l"
-                    else pa.nulls(n, batch.schema.field(c).type if c in batch.schema.names else pa.int64())
-                )
-            out["__bucket"] = crc32_bucket(batch.column(by), n_buckets)
-            out["__side"] = pa.array([side] * n)
-            return pa.Table.from_pydict(out)
-
-        return fn
-
-    tagged = left_ds.map_batches(tag("l"), batch_format="pyarrow").union(
-        right_ds.map_batches(tag("r"), batch_format="pyarrow")
-    )
-
-    def join_bucket(group: pd.DataFrame) -> pa.Table:
-        l = group[group["__side"] == "l"]
-        if not len(l):
+    def join_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        if not lt.num_rows:
             return empty_table
-        r = group[group["__side"] == "r"]
+        l, r = lt.to_pandas(), rt.to_pandas()
         codes, _ = pd.factorize(
-            pd.concat([l["__by"], r["__by"]], ignore_index=True), sort=False
+            pd.concat([l[by], r[by]], ignore_index=True), sort=False
         )
         lc, rc = codes[: len(l)], codes[len(l) :]
-        lts = l["__ts"].to_numpy()
-        rts = r["__ts"].to_numpy() if len(r) else np.empty(0, dtype=np.int64)
+        lts = lt.column(ts_col).cast(pa.int64()).to_numpy()
+        rts = rt.column(ts_col).cast(pa.int64()).to_numpy()
         ts_min = min(lts.min() + lo_us, rts.min() if len(r) else lts.min())
         span = (
             max(lts.max() + hi_us, rts.max() if len(r) else lts.max())
@@ -112,4 +86,7 @@ def range_join_count(
             out, schema=out_schema, preserve_index=False
         ).replace_schema_metadata(None)
 
-    return tagged.groupby("__bucket").map_groups(join_bucket, batch_format="pandas")
+    return co_group(
+        left_ds, right_ds, by, join_bucket, n_buckets,
+        left_schema=left_schema, right_schema=pa.schema([ts_field]),
+    )

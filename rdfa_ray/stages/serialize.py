@@ -144,18 +144,10 @@ def serialize_graphs(
         return triples_ds.map_batches(
             lambda b: serialize_batch(b, fmt), batch_format="pyarrow"
         )
-    from ..functions.hashing import crc32_bucket
+    from ..functions.exchange import keyed_exchange
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column("__bucket", crc32_bucket(b.column("graph"), n_buckets))
-
-    # coarse buckets, NOT per-graph dispatch: each map_groups call
-    # serializes a whole bucket of graphs through the same batch kernel
-    return (
-        triples_ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(
-            lambda t: serialize_batch(t.drop_columns(["__bucket"]), fmt),
-            batch_format="pyarrow",
-        )
+    # coarse buckets, NOT per-graph dispatch: each call serializes a
+    # whole bucket of graphs through the same batch kernel
+    return keyed_exchange(
+        triples_ds, "graph", lambda t: serialize_batch(t, fmt), n_buckets, "pyarrow"
     )

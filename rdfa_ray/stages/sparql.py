@@ -592,7 +592,7 @@ def grouped_distinct_aggregate(bindings, group_vars, var, alias, fn="count",
     :func:`grouped_aggregate`, callers re-join on their separator)."""
     import pandas as pd
 
-    from ..functions.hashing import crc32_bucket_concat
+    from ..functions.exchange import keyed_exchange
 
     gvars = list(group_vars)
 
@@ -628,20 +628,13 @@ def grouped_distinct_aggregate(bindings, group_vars, var, alias, fn="count",
         if not len(batch):
             return pd.DataFrame()
         out = batch[cols].drop_duplicates()
-        tbl = pa.Table.from_pandas(out, preserve_index=False)
-        return tbl.append_column(
-            "__bucket", crc32_bucket_concat(tbl, gvars, n_buckets)
-        ).replace_schema_metadata(None)
+        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
     out_dtype = {"count": "int64", "sum": "float64", "avg": "float64"}.get(
         fn, "object"
     )
 
     def reduce_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if not len(group):
-            empty = {v: pd.Series([], dtype="object") for v in gvars}
-            empty[alias] = pd.Series([], dtype=out_dtype)
-            return pd.DataFrame(empty)
         d = group.drop_duplicates(cols)
         if fn in ("sum", "avg"):
             d = d.assign(**{var: pd.to_numeric(d[var], errors="coerce")})
@@ -662,10 +655,8 @@ def grouped_distinct_aggregate(bindings, group_vars, var, alias, fn="count",
             out[alias] = out[alias].astype(out_dtype)
         return out
 
-    return (
-        bindings.map_batches(partial, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
+    return keyed_exchange(
+        bindings.map_batches(partial, batch_format="pandas"), gvars, reduce_bucket, n_buckets
     )
 
 
@@ -730,7 +721,7 @@ def grouped_aggregate(bindings, group_vars, aggs, having=None, n_buckets: int = 
     the aggregated solutions)."""
     import pandas as pd
 
-    from ..functions.hashing import crc32_bucket_concat
+    from ..functions.exchange import keyed_exchange
 
     gvars = list(group_vars)
     sep = "\x1f"
@@ -797,19 +788,9 @@ def grouped_aggregate(bindings, group_vars, aggs, having=None, n_buckets: int = 
             else:
                 raise ValueError("unknown aggregate %r" % fn)
         res = work.groupby(gvars, sort=False).agg(**named).reset_index()
-        tbl = pa.Table.from_pandas(res, preserve_index=False)
-        return tbl.append_column(
-            "__bucket", crc32_bucket_concat(tbl, gvars, n_buckets)
-        ).replace_schema_metadata(None)
+        return pa.Table.from_pandas(res, preserve_index=False).replace_schema_metadata(None)
 
     def reduce_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if not len(group):
-            empty = {v: pd.Series([], dtype="object") for v in gvars}
-            for fn, _v, alias, *_ in aggs:
-                empty[alias] = pd.Series(
-                    [], dtype="int64" if fn == "count" else ("float64" if fn in ("sum", "avg") else "object")
-                )
-            return pd.DataFrame(empty)
         gb = group.groupby(gvars, sort=False)
         first = True
         for fn, _var, alias, *_ in aggs:
@@ -836,10 +817,8 @@ def grouped_aggregate(bindings, group_vars, aggs, having=None, n_buckets: int = 
             out = out[having(out)]
         return out.reset_index(drop=True)
 
-    return (
-        bindings.map_batches(partial, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
+    return keyed_exchange(
+        bindings.map_batches(partial, batch_format="pandas"), gvars, reduce_bucket, n_buckets
     )
 
 

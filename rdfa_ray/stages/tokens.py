@@ -61,7 +61,7 @@ def inverted_index(docs_ds, min_df: int = 5, n_buckets: int = 64):
     Returns (token, df, postings) for tokens appearing in >= ``min_df``
     distinct documents; ``postings`` is ','-joined sorted doc_ids.
     """
-    from ..functions.hashing import crc32_bucket
+    from ..functions.exchange import keyed_exchange
 
     def pairs(batch: pa.Table) -> pa.Table:
         toks, ids = [], []
@@ -71,23 +71,11 @@ def inverted_index(docs_ds, min_df: int = 5, n_buckets: int = 64):
             for t in set(_TOKEN_RE.findall((text or "").lower())):
                 toks.append(t)
                 ids.append(doc_id)
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {"token": pa.array(toks, pa.string()), "doc_id": pa.array(ids, pa.int64())}
-        )
-        return t.append_column("__bucket", crc32_bucket(t.column("token"), n_buckets))
-
-    def empty() -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "token": pd.Series(dtype="object"),
-                "df": pd.Series(dtype="int64"),
-                "postings": pd.Series(dtype="object"),
-            }
         )
 
     def bucket_postings(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return empty()
         g = g.sort_values(["token", "doc_id"], kind="mergesort").drop_duplicates(
             ["token", "doc_id"]
         )
@@ -101,8 +89,6 @@ def inverted_index(docs_ds, min_df: int = 5, n_buckets: int = 64):
         agg["df"] = agg["df"].astype("int64")
         return agg[["token", "df", "postings"]]
 
-    return (
-        docs_ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_postings, batch_format="pandas")
+    return keyed_exchange(
+        docs_ds.map_batches(pairs, batch_format="pyarrow"), "token", bucket_postings, n_buckets
     )

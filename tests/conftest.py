@@ -37,6 +37,8 @@ _QUERY_MODULES = (
     "rdfa_ray.stages.sparql",
     "rdfa_ray.stages.bgp",
     "rdfa_ray.stages.closure",
+    "rdfa_ray.stages.join",
+    "rdfa_ray.functions.exchange",
 )
 
 

@@ -61,20 +61,33 @@ def test_range_join_count(ray_session):
             "ts": pd.to_datetime([40 * us, 50 * us, 100 * us, 150 * us], unit="us"),
         }
     )
-    out = (
-        range_join_count(
-            _ds(left), _ds(right), by="user_id", lo_us=-50 * us, hi_us=0,
-            keep=["event_id", "user_id"], count_col="n", n_buckets=4,
+    keep = ["event_id", "user_id"]
+    # a left-only ``keep`` column of any type: the right side pads it
+    # with nulls of its declared type (an int64 pad broke string ones)
+    for x in (None, pa.int64(), pa.string()):
+        keep_schema = None
+        if x is not None:
+            left["x"] = pa.array([5, 6, 7]).cast(x).to_pandas()
+            keep_schema = pa.schema(
+                [("event_id", pa.int64()), ("user_id", pa.int64()), ("x", x)]
+            )
+        out = (
+            range_join_count(
+                _ds(left), _ds(right), by="user_id", lo_us=-50 * us, hi_us=0,
+                keep=keep + ([] if x is None else ["x"]),
+                keep_schema=keep_schema, count_col="n", n_buckets=4,
+            )
+            .to_pandas()
+            .sort_values("event_id")
+            .reset_index(drop=True)
         )
-        .to_pandas()
-        .sort_values("event_id")
-        .reset_index(drop=True)
-    )
-    # event 1 @100s window [50,100]: rows at 50,100 -> 2
-    # event 2 @200s window [150,200]: row at 150 -> 1
-    # event 3 user 8: no right rows -> 0
-    assert out["n"].tolist() == [2, 1, 0]
-    assert out["event_id"].dtype == np.int64
+        # event 1 @100s window [50,100]: rows at 50,100 -> 2
+        # event 2 @200s window [150,200]: row at 150 -> 1
+        # event 3 user 8: no right rows -> 0
+        assert out["n"].tolist() == [2, 1, 0]
+        assert out["event_id"].dtype == np.int64
+        if x is not None:
+            assert out["x"].tolist() == left["x"].tolist()
 
 
 def test_grouped_quantiles_exact(ray_session):

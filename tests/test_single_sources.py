@@ -1,0 +1,121 @@
+"""One exchange primitive, one hashing module (Ray-free).
+
+The structural guards read the ``rdfa_ray`` sources with ``ast``: every
+``.map_groups(`` call and every call of the crc32 bucket kernels
+outside ``functions/`` must be on an allowlist, so a new hand-rolled
+exchange fails here and goes through ``functions/exchange.py``
+instead."""
+
+import ast
+import pathlib
+from collections import Counter
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent / "rdfa_ray"
+
+# (file, enclosing function) -> how many ``.map_groups(`` calls
+MAP_GROUPS_ALLOWED = {
+    # the primitives themselves
+    ("functions/exchange.py", "keyed_exchange"): 1,
+    ("functions/exchange.py", "co_group"): 1,
+    # the writer names files by ``part``; resume filters on it
+    ("pipelines/flagship.py", "run_flagship"): 1,
+    ("pipelines/curation_export.py", "run_curation_export"): 1,
+    # natural-key groupbys whose UDF reads the key
+    ("pipelines/queries.py", "_dup_pair_coverage"): 1,
+    ("pipelines/queries.py", "_pair_membership_flags"): 1,
+    ("pipelines/relational.py", "top_orders_per_segment"): 1,
+    ("pipelines/relational.py", "orders_topk_concat"): 1,
+    ("stages/dedup.py", "semantic_dup_pairs"): 1,
+    ("stages/graphalgo.py", "triangle_count"): 1,
+    ("stages/packing.py", "pack_sequences"): 1,
+    ("stages/semdedup.py", "semdedup"): 1,
+    ("stages/sketch.py", "kmv_distinct"): 1,
+    ("stages/sketch.py", "hll_distinct"): 1,
+    # non-crc32 buckets whose assignment must stay bit-identical:
+    # splitmix (x2), gram % B, doc_id % B, bucket & 63
+    ("stages/graphalgo.py", "neighbor_similarity"): 2,
+    ("stages/dedup.py", "ngram_jaccard_dedup"): 1,
+    ("stages/dedup.py", "dedup_lines"): 1,
+    ("stages/ann.py", "cosine_dup_pairs"): 1,
+}
+
+# crc32 bucket kernel calls outside functions/ that build no exchange
+# key of their own: the flagship's partition id (its out-of-scope
+# groupby above, and the resume filter) and feature hashing
+CRC32_ALLOWED = {
+    ("pipelines/flagship.py", "_add_part"),
+    ("pipelines/flagship.py", "run_flagship.drop_done"),
+    ("stages/classifier.py", "_featurize_batch"),
+}
+
+
+def _calls(names):
+    """(file, dotted enclosing def, called name) for every call of one
+    of ``names`` (as a function or a method) under ``rdfa_ray/``."""
+    found = []
+    for path in sorted(ROOT.rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+
+        def walk(node, stack):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    walk(child, stack + [child.name])
+                    continue
+                if isinstance(child, ast.Call):
+                    f = child.func
+                    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                    if name in names:
+                        found.append((rel, ".".join(stack), name))
+                walk(child, stack)
+
+        walk(ast.parse(path.read_text()), [])
+    return found
+
+
+def test_map_groups_sites_are_allowlisted():
+    counts = Counter((rel, fn.split(".")[0]) for rel, fn, _ in _calls({"map_groups"}))
+    assert dict(counts) == MAP_GROUPS_ALLOWED
+
+
+def test_no_hand_rolled_bucket_columns():
+    outside = {
+        (rel, fn)
+        for rel, fn, _ in _calls({"crc32_bucket", "crc32_bucket_concat"})
+        if not rel.startswith("functions/")
+    }
+    assert outside == CRC32_ALLOWED
+
+
+def _old_graph_mix(x):
+    # the former stages/graphalgo._graph_mix, verbatim
+    x = (x + np.uint64(0x9E3779B97F4A7C15))
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _old_kmeans_mix64(ids):
+    # the former stages/kmeans._mix64, verbatim
+    x = ids.astype(np.uint64, copy=True)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def test_splitmix_copies_match_old_formulas():
+    from rdfa_ray.functions.hashing import splitmix64
+    from rdfa_ray.stages.kmeans import _mix64
+
+    ids = np.array(
+        [0, 1, 2, -1, 2**62, -(2**63), 2**63 - 1, 123456789012345], dtype=np.int64
+    )
+    # the golden-ratio increment wraps for the top values
+    assert np.array_equal(
+        splitmix64(ids.astype(np.uint64)), _old_graph_mix(ids.astype(np.uint64))
+    )
+    assert np.array_equal(_mix64(ids), _old_kmeans_mix64(ids))
