@@ -49,7 +49,8 @@ def query(source, sparql: str, n_buckets: int = 64):
     either a (subj, pred, obj_value) ``ray.data.Dataset`` or a
     persisted KG store directory (``rdfa_ray.stages.kgstore``; store
     paths get predicate-pushdown partition pruning).  The rdflib
-    ``graph.query(...)`` analogue for this engine."""
+    ``graph.query(...)`` analogue for this engine.  A Ray Dataset, or
+    an ``ArrowFrame`` (same consumer calls) for a small store query."""
     from .stages.sparql_text import execute, execute_on_store
 
     if isinstance(source, str):

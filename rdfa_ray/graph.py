@@ -308,7 +308,8 @@ class Graph:
 
     def query(self, sparql: str):
         """SPARQL over this graph (``rdfa_ray.query``); returns the
-        distributed result Dataset."""
+        result Dataset (an in-process ``ArrowFrame`` for a small store
+        query)."""
         from . import query as _query
 
         if self._store_dir is not None and not self._added and not self._removed_patterns:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pathlib
-import zlib
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -86,10 +85,6 @@ def build_triples(
         concurrency=concurrency,
         num_cpus=num_cpus,
     )
-
-
-def _part_of(conv_id: str, n_parts: int) -> int:
-    return zlib.crc32(conv_id.encode()) % n_parts
 
 
 def _add_part(batch: pa.Table, n_parts: int) -> pa.Table:

@@ -1735,7 +1735,7 @@ def q_ann_ivf_indexed(sf_dir: str):
 
     import ray.data as rd
 
-    from ..stages.ann_index import build_ivf_index, index_is_complete, ivf_search
+    from ..stages.ann_index import ensure_ivf_index, ivf_search
 
     st = _os.stat("%s/embeddings.parquet" % sf_dir)
     index_dir = "/tmp/graft_ivf_%s" % _hl.md5(
@@ -1745,8 +1745,7 @@ def q_ann_ivf_indexed(sf_dir: str):
 
     # the sentinel is written AFTER the vectors dataset, so a crashed
     # build is invisible and rebuilt here
-    if not index_is_complete(index_dir):
-        build_ivf_index(embs, index_dir)
+    ensure_ivf_index(embs, index_dir)
     queries_df = (
         embs.filter(expr="vec_id < 8").to_pandas()
     )
@@ -1929,6 +1928,15 @@ def _store_tag(sf_dir: str, prefix: str) -> str:
     st = _os.stat("%s/documents.parquet" % sf_dir)
     key = "%s|%d|%d" % (sf_dir, st.st_mtime_ns, st.st_size)
     return "/tmp/%s_%s" % (prefix, _hl.md5(key.encode()).hexdigest()[:12])
+
+
+def _store_answer(res):
+    """A store query's answer as a type every ``queries()`` consumer
+    takes (Datasets, Arrow tables, DataFrames): a small query's
+    in-process ``ArrowFrame`` as its Arrow table."""
+    from ..stages.localframe import ArrowFrame
+
+    return res.to_arrow() if isinstance(res, ArrowFrame) else res
 
 
 _TYPED_TRIPLES_CACHE: dict = {}
@@ -3844,7 +3852,7 @@ def q_kg_store_sparql(sf_dir: str):
 
     store_dir = _store_tag(sf_dir, "graft_kg")
     ensure_kg(store_dir, lambda: _typed_triples(sf_dir))
-    return execute_on_store(
+    return _store_answer(execute_on_store(
         store_dir,
         """
         PREFIX schema: <http://schema.org/>
@@ -3852,7 +3860,7 @@ def q_kg_store_sparql(sf_dir: str):
           ?d schema:inLanguage "zh" ; schema:source ?src .
         } GROUP BY ?src
         """,
-    )
+    ))
 
 
 def q_kg_count_distinct(sf_dir: str):
@@ -4338,10 +4346,10 @@ def q_kg_sparql_update(sf_dir: str):
         }
         """,
     )
-    return rdfa_ray.query(
+    return _store_answer(rdfa_ray.query(
         store_dir,
         "SELECT ?p ?o (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ?o",
-    )
+    ))
 
 
 def q_kg_graph_mgmt(sf_dir: str):
@@ -6094,7 +6102,7 @@ ORACLE_SQL = {
         "SELECT 'doc' || printf('%08d', doc_id) AS conv_id,"
         " array_to_string(list_filter(list_transform("
         "   string_split(text, chr(10)),"
-        "   x -> trim(regexp_replace(x, '\s+', ' ', 'g'))),"
+        r"   x -> trim(regexp_replace(x, '\s+', ' ', 'g'))),"
         "  x -> x <> ''), chr(10)) AS clean_text FROM documents"
     ),
     "lineitem_below_avg": (

@@ -90,6 +90,19 @@ def build_ivf_index(embeddings_ds, index_dir: str, n_cells: int = 16, sample_lim
         return cents
 
 
+def ensure_ivf_index(embeddings_ds, index_dir: str, **build_kwargs) -> np.ndarray:
+    """Centroids of the index at ``index_dir``, built when absent.  The
+    sentinel is re-checked under the writer lock: a second build would
+    ``rmtree`` the vectors a concurrent caller is already searching."""
+    if not index_is_complete(index_dir):
+        os.makedirs(index_dir, exist_ok=True)
+        with commit.writer_lock(index_dir):
+            # re-entrant per thread: build_ivf_index takes the same lock
+            if not index_is_complete(index_dir):
+                return build_ivf_index(embeddings_ds, index_dir, **build_kwargs)
+    return np.load(os.path.join(index_dir, CENTROIDS))
+
+
 def ivf_search(index_dir: str, queries_df: pd.DataFrame, k: int = 10, n_probe: int = 4):
     """Search the persisted index.  ``queries_df``: (vec_id, embedding).
     Returns a Dataset of (query_id, vec_id, sim) rows, top-k per query."""

@@ -181,26 +181,23 @@ def _with_key(ds, key_vars, all_vars):
 
 
 def _broadcast_step(bindings, scan_df, shared, bound, p_vars):
-    """One BGP join step with the (measured-small) scan broadcast:
-    ``ray.put`` the scan's bindings once, vectorized pandas inner merge
-    on the shared variables INSIDE map_batches over the accumulated
-    bindings — zero exchange (the adaptive move a SPARQL engine's
-    optimizer makes for constants-heavy, highly selective patterns)."""
-    import pandas as pd
-    import ray
-
-    scan_ref = ray.put(scan_df)
+    """One BGP join step with the (measured-small) scan broadcast: the
+    UDF's closure carries the scan's bindings (Ray Data ships a map
+    operator's UDF once per operator; an in-process frame ships
+    nothing), vectorized pandas inner merge on the shared variables
+    INSIDE map_batches over the accumulated bindings — zero exchange
+    (the adaptive move a SPARQL engine's optimizer makes for
+    constants-heavy, highly selective patterns)."""
     new_vars = [v for v in p_vars if v not in bound]
     out_vars = bound + new_vars
     out_schema = pa.schema([(v, pa.string()) for v in out_vars])
     empty = out_schema.empty_table()
 
     def merge_batch(batch: pa.Table) -> pa.Table:
-        right = ray.get(scan_ref)
         left = batch.to_pandas()
         if not len(left):
             return empty
-        m = left.merge(right, on=list(shared), how="inner")
+        m = left.merge(scan_df, on=list(shared), how="inner")
         if not len(m):
             return empty
         return pa.Table.from_pandas(
@@ -229,9 +226,9 @@ def bgp_match(
 
     Adaptive join choice per step: each pattern's scan is materialized
     (one cheap pass over the already-materialized triples) and COUNTED;
-    a scan at or below ``broadcast_limit`` bindings is broadcast
-    (``ray.put`` once, map-side pandas merge — zero exchange), larger
-    scans take the general bucketed hash join.  Constants-first BGPs
+    a scan at or below ``broadcast_limit`` bindings is broadcast (in
+    the map UDF's closure, map-side pandas merge — zero exchange),
+    larger scans take the general bucketed hash join.  Constants-first BGPs
     therefore usually pay no exchange at all after the first scan.
     """
     if not patterns:

@@ -18,10 +18,11 @@ joins instead of O(|closure| * depth):
 
 Two execution modes per round, chosen by measured frontier size:
 
-* **Broadcast round** (frontier fits the driver/object store —
-  ``broadcast_limit`` pairs): the frontier is ``ray.put`` once and the
-  step join is a vectorized pandas merge INSIDE ``map_batches`` over
-  the (arbitrarily large) edge set — no exchange.  The known-pair
+* **Broadcast round** (frontier fits the driver —
+  ``broadcast_limit`` pairs): the frontier rides in the map UDF's
+  closure (shipped once per operator) and the step join is a
+  vectorized pandas merge INSIDE ``map_batches`` over the
+  (arbitrarily large) edge set — no exchange.  The known-pair
   check is likewise a broadcast-set membership scan over ``paths``
   that returns only the (small) matched keys; ``paths`` itself NEVER
   moves.  Per-round cost: one read pass over edges + one over paths,
@@ -72,14 +73,11 @@ def _pack_kk(tbl: pa.Table) -> pa.ChunkedArray:
 def _broadcast_round(edges, paths, frontier_df: pd.DataFrame, kt: pa.DataType):
     """One semi-naive round with the frontier broadcast.  Returns the
     new-pairs DataFrame (deduped, unknown pairs only)."""
-    import ray
-
     schema = _pair_schema(kt)
     empty = schema.empty_table()
-    fr_ref = ray.put(frontier_df[["src", "dst"]])
+    fr = frontier_df[["src", "dst"]]
 
     def step_batch(batch: pa.Table) -> pa.Table:
-        fr = ray.get(fr_ref)
         eb = batch.to_pandas()
         m = fr.merge(eb, left_on="dst", right_on="src", suffixes=("_f", "_e"))
         if not len(m):
@@ -103,10 +101,9 @@ def _broadcast_round(edges, paths, frontier_df: pd.DataFrame, kt: pa.DataType):
     step_keys = (
         step["src"].astype(str) + "\x1f" + step["dst"].astype(str)
     ).to_numpy()
-    keys_ref = ray.put(frozenset(step_keys.tolist()))
+    ks = frozenset(step_keys.tolist())
 
     def known_batch(batch: pa.Table) -> pa.Table:
-        ks = ray.get(keys_ref)
         kk = _pack_kk(batch)
         hit = [v for v in kk.to_pylist() if v in ks]
         if not hit:

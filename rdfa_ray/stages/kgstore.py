@@ -16,9 +16,9 @@ table format would (manifest-swapped partition generations):
   |preds| / |distinct preds|), with a residual equality filter because
   sanitization may collide distinct predicate IRIs into one token.
   ``read_kg_table`` is the same read into one in-process Arrow table,
-  and ``scan_rows`` sums the pruned files' Parquet-footer row counts —
-  ``sparql_text.execute_on_store`` reads small scans in-process and
-  runs larger ones on Ray Data.
+  or ``None`` when the pruned files' Parquet footers sum past a row
+  limit — ``sparql_text.execute_on_store`` reads small scans
+  in-process and runs larger ones on Ray Data.
 * ``ensure_kg``: build-if-absent, re-checked under the writer lock so
   concurrent callers build one generation.
 * ``update_kg``: SPARQL-Update analogue (INSERT DATA / DELETE DATA,
@@ -489,22 +489,31 @@ def _residual(preds, want):
     return residual
 
 
-def scan_rows(store_dir: str, preds=None, stop_after: int | None = None) -> int:
-    """Rows in the files a read of ``preds`` opens, summed from their
-    Parquet footers (before the residual filter).  Stops as soon as the
-    sum passes ``stop_after``, so deciding "small or not" on a large
-    store opens only a few footers.  Footers are always current; the
-    manifest records no counts that ``update_kg`` or
-    ``transform_graphs`` would have to keep up."""
+def _open_pruned(store_dir: str, preds, columns, stop_after: int | None):
+    """``_pruned_read`` with each file opened once: ``(files, rows,
+    read_cols, want, empty)``, ``rows`` summing the opened files'
+    footers.  Stops opening once ``rows`` passes ``stop_after``, so
+    sizing a large store's read opens only a few footers."""
     import pyarrow.parquet as pq
 
-    paths = _pruned_read(store_dir, preds, None)[0]
-    total = 0
+    paths, read_cols, want, empty = _pruned_read(store_dir, preds, columns)
+    files, rows = [], 0
     for path in paths:
-        total += pq.read_metadata(path).num_rows
-        if stop_after is not None and total > stop_after:
+        # ParquetFile.read skips read_table's per-call dataset set-up
+        files.append(pq.ParquetFile(path))
+        rows += files[-1].metadata.num_rows
+        if stop_after is not None and rows > stop_after:
             break
-    return total
+    return files, rows, read_cols, want, empty
+
+
+def scan_rows(store_dir: str, preds=None, stop_after: int | None = None) -> int:
+    """Rows in the files a read of ``preds`` opens, summed from their
+    Parquet footers (before the residual filter), stopping once past
+    ``stop_after``.  Footers are always current; the manifest records
+    no counts that ``update_kg`` or ``transform_graphs`` would have to
+    keep up."""
+    return _open_pruned(store_dir, preds, None, stop_after)[1]
 
 
 def read_kg(store_dir: str, preds=None, columns=None):
@@ -524,18 +533,20 @@ def read_kg(store_dir: str, preds=None, columns=None):
     return ds.map_batches(_residual(preds, want), batch_format="pyarrow")
 
 
-def read_kg_table(store_dir: str, preds=None, columns=None) -> pa.Table:
+def read_kg_table(store_dir: str, preds, columns, max_rows: int) -> pa.Table | None:
     """``read_kg`` in-process: the same pruned files, columns and
     residual filter, read into one ``pa.Table`` in this process (schema
-    metadata stripped, as ``read_parquet_clean`` strips it)."""
-    import pyarrow.parquet as pq
-
-    paths, read_cols, want, empty = _pruned_read(store_dir, preds, columns)
-    if not paths:
+    metadata stripped, as ``read_parquet_clean`` strips it), or ``None``
+    when the files' footers hold more than ``max_rows`` rows."""
+    files, rows, read_cols, want, empty = _open_pruned(
+        store_dir, preds, columns, max_rows
+    )
+    if rows > max_rows:
+        return None
+    if not files:
         return empty
     table = pa.concat_tables(
-        # ParquetFile.read skips read_table's per-call dataset set-up
-        [pq.ParquetFile(p).read(columns=read_cols) for p in paths],
+        [f.read(columns=read_cols) for f in files],
         promote_options="permissive",
     ).replace_schema_metadata(None)
     return table if preds is None else _residual(preds, want)(table)

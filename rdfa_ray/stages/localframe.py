@@ -11,6 +11,8 @@ twice — scans, joins, aggregates and filters are the same batch
 functions Ray would run; the frame only replaces the executor.  The
 one exception is ``groupby().aggregate()``, which maps Ray's
 ``Count``/``Sum``/``Min``/``Max``/``Mean`` onto Arrow ``group_by``.
+The finished frame is the query's answer: it has a result's consumer
+calls (``iter_batches``, ``to_arrow``, ``to_pandas``, …).
 
 Empty frames follow Ray's empty Datasets: a UDF is never called on
 zero rows (Ray's batcher skips empty blocks), so a transform of an

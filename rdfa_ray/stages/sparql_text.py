@@ -348,10 +348,6 @@ def _path_iris(expr, out: set, prunable: list) -> None:
 # FILTER expression -> vectorized pyarrow predicate
 
 
-def _num(col):
-    return pc.cast(col, pa.float64())
-
-
 def _as_str(v):
     """Coerce an operand (Array / ChunkedArray / Scalar) to string.
 
@@ -2663,13 +2659,10 @@ def _exists_flag_column(b, avail_vars, tds, block, extras, alias,
     Scale shape: the probe side reduces to its DISTINCT packed
     correlation keys (key-sized, never solution rows).  At or below
     ``broadcast_limit`` distinct keys the flag is a map-side ``is_in``
-    membership scan (``ray.put`` once, fetched once per worker — zero
+    membership scan (the key set rides in the map UDF's closure — zero
     exchange on the bindings); above it, a bucketed LEFT join on the
     packed key marks matches (the bindings pay one exchange, the probe
     ships only keys)."""
-    import ray
-    import ray.data as rd
-
     probe, pvars = _group_side_bindings(tds, block, extras, n_buckets)
     shared = [v for v in pvars if v in avail_vars]
     if not shared:
@@ -2708,12 +2701,9 @@ def _exists_flag_column(b, avail_vars, tds, block, extras, alias,
         return b.map_batches(const_flag, batch_format="pyarrow")
 
     if n_keys <= broadcast_limit:
-        key_ref = ray.put(keys.to_pandas()["__k"].to_numpy())
+        vs = pa.array(keys.to_pandas()["__k"].to_numpy(), pa.string())
 
         def flag(batch: pa.Table) -> pa.Table:
-            from ..state.broadcast import bcast_cached
-
-            vs = pa.array(bcast_cached(key_ref), pa.string())
             m = pc.fill_null(pc.is_in(pack(batch), value_set=vs), False)
             if negate:
                 m = pc.invert(m)
@@ -3952,11 +3942,10 @@ def _apply_dataset_clause(triples_ds, plan):
     )
 
 
-def _plan_pred_pushdown(plan):
-    """(preds, prunable) the store executor derives from a plan —
-    collected across the base BGP, every group kind, AND nested
-    subqueries (a subquery executes against the same pruned scan, so
-    missing its predicates would silently drop solutions)."""
+def _plan_blocks(plan):
+    """``(blocks, sub_plans)``: every pattern block of a plan (the base
+    BGP, every group kind, union arms, nested groups) and the plans of
+    its subqueries."""
     groups = (
         [plan["patterns"]]
         + plan["optionals"]
@@ -3993,6 +3982,23 @@ def _plan_pred_pushdown(plan):
     for _alias, eblock, eex, _neg in plan.get("expr_exists", []):
         groups.append(eblock)
         collect_nested(eex)
+    return groups, sub_plans
+
+
+def _plan_has_quads(plan) -> bool:
+    """Does a pattern of the plan, or of a subquery, carry a GRAPH term?"""
+    groups, sub_plans = _plan_blocks(plan)
+    return any(len(pt) > 3 for g in groups for pt in g) or any(
+        map(_plan_has_quads, sub_plans)
+    )
+
+
+def _plan_pred_pushdown(plan):
+    """(preds, prunable) the store executor derives from a plan —
+    collected across the base BGP, every group kind, AND nested
+    subqueries (a subquery executes against the same pruned scan, so
+    missing its predicates would silently drop solutions)."""
+    groups, sub_plans = _plan_blocks(plan)
     preds: set = set()
     prunable_box = [True]
     for g in groups:
@@ -4158,7 +4164,7 @@ def explain(query: str, store_dir: str | None = None) -> str:
 
     preds, prunable = _plan_pred_pushdown(plan)
     if store_dir is not None:
-        from .kgstore import pred_key, store_meta
+        from .kgstore import pred_key, scan_rows, store_meta
 
         meta = store_meta(store_dir)
         if meta is None:
@@ -4176,7 +4182,10 @@ def explain(query: str, store_dir: str | None = None) -> str:
                     "store scan: ALL %d partitions (variable predicate or"
                     " neg/star/opt path)" % len(parts)
                 )
-            rows = _store_rows(store_dir, sorted(preds) if prunable else None)
+            rows = scan_rows(
+                store_dir, sorted(preds) if prunable else None,
+                stop_after=LOCAL_MAX_ROWS,
+            )
             lines.append(
                 "executor: in-process (%d rows <= %d)" % (rows, LOCAL_MAX_ROWS)
                 if rows <= LOCAL_MAX_ROWS
@@ -4198,14 +4207,6 @@ def explain(query: str, store_dir: str | None = None) -> str:
 LOCAL_MAX_ROWS = 400_000
 
 
-def _store_rows(store_dir: str, preds) -> int:
-    """Footer row count of the pruned read, summed only until it
-    passes ``LOCAL_MAX_ROWS`` — the one input of the executor choice."""
-    from .kgstore import scan_rows
-
-    return scan_rows(store_dir, preds, stop_after=LOCAL_MAX_ROWS)
-
-
 def execute_on_store(store_dir: str, query: str, n_buckets: int = 64):
     """Run a SPARQL string against a persisted predicate-partitioned KG
     store (stages/kgstore.py) with PREDICATE PUSHDOWN: the parsed
@@ -4222,66 +4223,25 @@ def execute_on_store(store_dir: str, query: str, n_buckets: int = 64):
     table and the UNCHANGED plan runs over an in-process frame
     (stages/localframe.py) with one bucket — buckets only partition
     work, and the frame runs it all in one process.  Larger reads run on
-    Ray Data with ``n_buckets``.  Either way the result is a Ray
-    Dataset."""
-    import ray.data as rd
-
+    Ray Data with ``n_buckets``.  A small query returns the finished
+    frame, which has the Dataset consumer calls (``iter_batches``,
+    ``to_arrow``, ``to_pandas``, …), so its answer never re-enters Ray;
+    a caller feeding it to more Ray Data work promotes it with
+    ``rd.from_arrow(result.to_arrow())``."""
     from .kgstore import read_kg, read_kg_table
     from .localframe import ArrowFrame
 
     plan = parse_query(query)
     preds, prunable = _plan_pred_pushdown(plan)
     cols = ["subj", "pred", "obj_value"]
-
-    def _any_quad(block):
-        return any(len(pt) > 3 for pt in block)
-
-    def _extras_quad(ex):
-        if not ex:
-            return False
-        for nk, nb, nx, _n in ex[2]:
-            if nk == "subquery":
-                if (
-                    _any_quad(nb["patterns"])
-                    or any(_any_quad(g[1]) for g in nb["groups"])
-                    or any(_extras_quad(x) for x in nb["group_extras"])
-                ):
-                    return True
-            elif nk == "union":
-                if any(
-                    _any_quad(a) or _extras_quad(x)
-                    for a, x in zip(nb, nx)
-                ):
-                    return True
-            elif _any_quad(nb) or _extras_quad(nx):
-                return True
-        return False
-
-    if (
-        _any_quad(plan["patterns"])
-        or any(_any_quad(g[1]) for g in plan["groups"])
-        or any(_extras_quad(ex) for ex in plan["group_extras"])
-        or any(_any_quad(arm) for arm in plan["union"])
-        or any(_extras_quad(ex) for ex in plan.get("union_extras", []))
-        or any(
-            _any_quad(arm) or _extras_quad(ex)
-            for arms, exs, _p in plan.get("union_joins", [])
-            for arm, ex in zip(arms, exs)
-        )
-        or any(
-            _any_quad(bl) or _extras_quad(ex)
-            for _a, bl, ex, _n in plan.get("expr_exists", [])
-        )
-        or plan["from_graphs"]
-        or plan["from_named"]
-    ):
+    if _plan_has_quads(plan) or plan["from_graphs"] or plan["from_named"]:
         # GRAPH patterns / dataset clauses need the quad store's graph
         # column; a triple store without one fails loudly at the read
         cols.append("graph")
     preds = sorted(preds) if prunable else None
-    if _store_rows(store_dir, preds) <= LOCAL_MAX_ROWS:
-        frame = ArrowFrame(read_kg_table(store_dir, preds=preds, columns=cols))
-        return rd.from_arrow(_execute_plan(frame, plan, n_buckets=1).to_arrow())
+    table = read_kg_table(store_dir, preds, cols, LOCAL_MAX_ROWS)
+    if table is not None:
+        return _execute_plan(ArrowFrame(table), plan, n_buckets=1)
     triples = read_kg(store_dir, preds=preds, columns=cols)
     return _execute_plan(triples, plan, n_buckets)
 

@@ -593,6 +593,8 @@ def execute_update(store_dir: str, text: str, n_buckets: int = 64) -> dict:
     ``USING [NAMED]`` clauses compile to FROM / FROM NAMED and, per
     §4.1.5, override WITH for reading while templates still target
     ``g``."""
+    import ray.data as rd
+
     from .kgstore import (
         clear_kg,
         read_kg,
@@ -602,6 +604,7 @@ def execute_update(store_dir: str, text: str, n_buckets: int = 64) -> dict:
         update_kg,
     )
     from ..state.commit import writer_lock
+    from .localframe import ArrowFrame
     from .sparql_text import execute_on_store
 
     ops = parse_update(text)
@@ -722,6 +725,10 @@ def execute_update(store_dir: str, text: str, n_buckets: int = 64) -> dict:
                 if schema is None:
                     continue
                 bound = set(schema.names)
+                if isinstance(bindings, ArrowFrame):
+                    # a small WHERE answers in-process; update_kg's
+                    # delta unions run on Ray Data
+                    bindings = rd.from_arrow(bindings.to_arrow())
                 delete_ds = (
                     _instantiate(
                         bindings, op["delete"], bound, store_quads, with_graph

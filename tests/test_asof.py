@@ -127,3 +127,61 @@ def test_ivf_search_prunes_partitions(ray_session, tmp_path_factory):
     qdf = embs.filter(expr="vec_id < 2").to_pandas()
     got = ivf_search(index_dir, qdf, k=3, n_probe=1).to_pandas()
     assert len(got) > 0  # approximate search over pruned partitions works
+
+
+def _vector_files(index_dir):
+    import os
+
+    root = os.path.join(index_dir, "vectors")
+    return {
+        os.path.join(d, f): os.stat(os.path.join(d, f)).st_ino
+        for d, _dirs, files in os.walk(root)
+        for f in files
+    }
+
+
+def test_ensure_ivf_index_two_threads_build_one_index(ray_session, tmp_path_factory, monkeypatch):
+    """Both callers miss the sentinel; the one that takes the writer
+    lock second must find the first's index, not rebuild it (a rebuild
+    deletes the vector files the first caller is searching)."""
+    import threading
+    import time
+
+    import numpy as np
+    import ray.data as rd
+
+    from rdfa_ray.stages import ann_index
+
+    rng = np.random.default_rng(0)
+    embs = rd.from_items(
+        [{"vec_id": i, "embedding": rng.normal(size=8).tolist()} for i in range(64)]
+    )
+    index_dir = str(tmp_path_factory.mktemp("ivf_two"))
+    real = ann_index.build_ivf_index
+    builds, built_files, cents = [], {}, []
+    start = threading.Barrier(2)
+
+    def build(*args, **kwargs):
+        builds.append(threading.get_ident())
+        time.sleep(0.3)  # the other caller checks the sentinel meanwhile
+        out = real(*args, **kwargs)
+        built_files.update(_vector_files(index_dir))
+        return out
+
+    monkeypatch.setattr(ann_index, "build_ivf_index", build)
+
+    def caller():
+        start.wait()
+        cents.append(ann_index.ensure_ivf_index(embs, index_dir, n_cells=4))
+
+    threads = [threading.Thread(target=caller) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(builds) == 1
+    assert len(cents) == 2 and np.array_equal(cents[0], cents[1])
+    assert built_files and _vector_files(index_dir) == built_files
+    # a complete index is loaded, never rebuilt
+    ann_index.ensure_ivf_index(embs, index_dir, n_cells=4)
+    assert len(builds) == 1

@@ -266,3 +266,74 @@ def test_limit_boundary(ray_session, tmp_path, monkeypatch):
     assert answers[0] == answers[1] == sorted(
         repr([n, "o%d" % i]) for i, n in enumerate([3, 2, 2, 2])
     )
+
+
+# ------------------------------------------- the in-process path is Ray-free
+
+_S, _EX = "http://schema.org/", "http://example.org/terms#"
+_SAME_AS = "http://www.w3.org/2002/07/owl#sameAs"
+
+
+def _template_rows():
+    """A small quad store with the predicates the kgbench templates use;
+    every third document's rows sit in the default graph ''."""
+    rows = []
+    for d in range(9):
+        g = "" if d % 3 == 2 else "urn:doc%d" % d
+        s = "urn:e%d" % (d % 4)
+        rows += [
+            (s, _S + "name", "name%d" % (d % 5), g),
+            (s, _S + "description", "desc%d" % (d % 2), g),
+            ("urn:ev%d" % d, _S + "performer", s, g),
+            ("urn:ev%d" % d, _S + "startDate", "2026-01-%02d" % (d + 1), g),
+            (s, _EX + "subject", "topic%d" % (d % 3), g),
+            (s, _EX + "mentions", "urn:e%d" % ((d + 1) % 4), g),
+            (s, _SAME_AS, "urn:alias%d" % d, g),
+        ]
+    return rows
+
+
+def _template_queries():
+    stars = [(_S + "name", _S + "description"), (_S + "performer", _S + "startDate"),
+             (_EX + "subject", _EX + "mentions")]
+    qs = ["SELECT ?g ?s ?a ?b WHERE { GRAPH ?g { ?s <%s> ?a . ?s <%s> ?b } }" % pq
+          for pq in stars]
+    qs += ["SELECT ?o (COUNT(*) AS ?n) WHERE { ?s <%s> ?o } GROUP BY ?o" % p
+           for p in (_S + "name", _EX + "mentions")]
+    qs.append("SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s <%s> ?o } GROUP BY ?s" % _SAME_AS)
+    return qs
+
+
+def test_small_store_queries_never_touch_ray(ray_session, tmp_path, monkeypatch):
+    """Under the default limit the six template shapes read, plan and
+    hand back their answer without one ``ray.put`` or one Dataset, and
+    each answer equals the Ray path's (limit 0) as a bag."""
+    import ray
+
+    default = sparql_text.LOCAL_MAX_ROWS
+    store = _store(tmp_path, _template_rows(), graph=True)
+    queries = _template_queries()
+    on_ray = [_run(store, q, 0, monkeypatch) for q in queries]
+    assert all(on_ray)
+    monkeypatch.setattr(sparql_text, "LOCAL_MAX_ROWS", default)
+
+    puts, datasets = [], []
+    real_put, real_init = ray.put, rd.Dataset.__init__
+
+    def put(*args, **kwargs):
+        puts.append(1)
+        return real_put(*args, **kwargs)
+
+    def init(self, *args, **kwargs):
+        datasets.append(type(self).__name__)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ray, "put", put)
+    monkeypatch.setattr(rd.Dataset, "__init__", init)
+    local = []
+    for q in queries:
+        res = sparql_text.execute_on_store(store, q, n_buckets=4)
+        tables = list(res.iter_batches(batch_format="pyarrow", batch_size=None))
+        local.append(_bag(pa.concat_tables(tables).to_pandas()))
+    assert puts == [] and datasets == []
+    assert local == on_ray

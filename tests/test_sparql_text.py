@@ -571,6 +571,21 @@ def test_execute_on_store_prunes(ray_session, tmp_path):
     assert out2.count() == len(GRAPH_ROWS)
 
 
+def test_execute_on_store_unknown_predicate(ray_session, tmp_path):
+    """A predicate the store lacks prunes the read to no file: even at
+    limit 0 that empty read answers in-process, and the differential
+    compares that frame with the in-process run as a bag."""
+    from rdfa_ray.stages import kgstore
+    from rdfa_ray.stages.sparql_text import execute_on_store
+
+    store = str(tmp_path / "kg")
+    kgstore.persist_kg(_triples(GRAPH_ROWS), store)
+    out = execute_on_store(
+        store, "SELECT ?s ?o WHERE { ?s <http://ex.org/unknown> ?o }", n_buckets=4
+    )
+    assert out.count() == 0
+
+
 PATH_ROWS = [
     ("n1", "http://ex.org/next", "n2"),
     ("n2", "http://ex.org/next", "n3"),
@@ -1081,6 +1096,31 @@ def test_graph_on_quad_store(ray_session, tmp_path):
         store_dir=store,
     )
     assert "store scan: 1 of" in txt
+
+
+def test_graph_inside_store_subquery(ray_session, tmp_path):
+    """A GRAPH pattern that only a top-level subquery holds still makes
+    the store read carry the graph column."""
+    from rdfa_ray.stages.kgstore import persist_kg
+    from rdfa_ray.stages.sparql_text import execute_on_store
+
+    store = str(tmp_path / "quadstore")
+    persist_kg(_quads(QUAD_ROWS), store)
+    out = execute_on_store(
+        store,
+        """
+        PREFIX ex: <http://ex.org/>
+        SELECT ?d ?g ?n WHERE {
+          ?d ex:lang "zh" .
+          { SELECT ?d ?g ?n WHERE { GRAPH ?g { ?d ex:size ?n } } }
+        }
+        """,
+        n_buckets=4,
+    )
+    assert _rows(out, ["d", "g", "n"]) == [
+        ("a", "urn:g1", "10"), ("a", "urn:g1", "10"),
+        ("a", "urn:g3", "999"), ("a", "urn:g3", "999"),
+    ]
 
 
 # ----------------------------------------------------- FROM / FROM NAMED
