@@ -49,8 +49,13 @@ def query(source, sparql: str, n_buckets: int = 64):
     either a (subj, pred, obj_value) ``ray.data.Dataset`` or a
     persisted KG store directory (``rdfa_ray.stages.kgstore``; store
     paths get predicate-pushdown partition pruning).  The rdflib
-    ``graph.query(...)`` analogue for this engine.  A Ray Dataset, or
-    an ``ArrowFrame`` (same consumer calls) for a small store query."""
+    ``graph.query(...)`` analogue for this engine.  Returns a Ray
+    Dataset, or the in-process ``ArrowFrame`` for a store query whose
+    pruned read fits ``LOCAL_MAX_ROWS``.  Both answer ``iter_batches``,
+    ``iter_rows``, ``take_all``, ``to_pandas``, ``count``, ``schema``
+    (``names``, ``types``), ``columns`` and ``materialize``; for any
+    other Dataset method promote a frame with
+    ``ray.data.from_arrow(res.to_arrow())``."""
     from .stages.sparql_text import execute, execute_on_store
 
     if isinstance(source, str):

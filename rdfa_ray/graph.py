@@ -307,9 +307,9 @@ class Graph:
     # -- query / serialize -------------------------------------------------
 
     def query(self, sparql: str):
-        """SPARQL over this graph (``rdfa_ray.query``); returns the
-        result Dataset (an in-process ``ArrowFrame`` for a small store
-        query)."""
+        """SPARQL over this graph; returns what ``rdfa_ray.query``
+        does (a Dataset, or an ``ArrowFrame`` for a small store query:
+        see there for the calls both answer)."""
         from . import query as _query
 
         if self._store_dir is not None and not self._added and not self._removed_patterns:

@@ -1735,7 +1735,7 @@ def q_ann_ivf_indexed(sf_dir: str):
 
     import ray.data as rd
 
-    from ..stages.ann_index import ensure_ivf_index, ivf_search
+    from ..stages.ann_index import build_ivf_index, index_is_complete, ivf_search
 
     st = _os.stat("%s/embeddings.parquet" % sf_dir)
     index_dir = "/tmp/graft_ivf_%s" % _hl.md5(
@@ -1745,7 +1745,8 @@ def q_ann_ivf_indexed(sf_dir: str):
 
     # the sentinel is written AFTER the vectors dataset, so a crashed
     # build is invisible and rebuilt here
-    ensure_ivf_index(embs, index_dir)
+    if not index_is_complete(index_dir):
+        build_ivf_index(embs, index_dir)
     queries_df = (
         embs.filter(expr="vec_id < 8").to_pandas()
     )

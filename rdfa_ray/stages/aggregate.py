@@ -30,12 +30,6 @@ def salted_count(ds, key: str):
     return partials.groupby(key).aggregate(Sum("partial_count", alias_name="n"))
 
 
-def entity_mention_counts(links_ds):
-    """Mentions per entity — the skewed aggregation exercised by the
-    hot-entity corpus slice."""
-    return salted_count(links_ds, "entity")
-
-
 def diagnostics_rollup(diags_ds):
     """groupby(diagnostic class).count() over the diagnostics output
     (engine analogue of inspecting the reference's processor graph)."""

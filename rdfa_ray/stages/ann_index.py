@@ -45,13 +45,18 @@ def index_is_complete(index_dir: str) -> bool:
 
 
 def build_ivf_index(embeddings_ds, index_dir: str, n_cells: int = 16, sample_limit: int = 2048):
-    """One-shot index build; returns the centroid matrix."""
-    sample_df = embeddings_ds.limit(sample_limit).to_pandas()
-    sample = np.array(sample_df["embedding"].tolist(), dtype=np.float64)
-    cents = _normalize(_kmeans(sample, n_cells))
-
+    """One-shot index build; returns the centroid matrix.  The sentinel
+    is re-checked under the writer lock: two callers that both missed
+    it build once, and the second never ``rmtree``s the vectors the
+    first is already searching."""
     os.makedirs(index_dir, exist_ok=True)
     with commit.writer_lock(index_dir):
+        if index_is_complete(index_dir):
+            return np.load(os.path.join(index_dir, CENTROIDS))
+        sample_df = embeddings_ds.limit(sample_limit).to_pandas()
+        sample = np.array(sample_df["embedding"].tolist(), dtype=np.float64)
+        cents = _normalize(_kmeans(sample, n_cells))
+
         # a previous crashed build (no sentinel) may have left partial
         # vector files; clear them so the rebuild can't mix generations
         vec_dir = os.path.join(index_dir, "vectors")
@@ -88,19 +93,6 @@ def build_ivf_index(embeddings_ds, index_dir: str, n_cells: int = 16, sample_lim
 
         commit.atomic_write(os.path.join(index_dir, CENTROIDS), save)
         return cents
-
-
-def ensure_ivf_index(embeddings_ds, index_dir: str, **build_kwargs) -> np.ndarray:
-    """Centroids of the index at ``index_dir``, built when absent.  The
-    sentinel is re-checked under the writer lock: a second build would
-    ``rmtree`` the vectors a concurrent caller is already searching."""
-    if not index_is_complete(index_dir):
-        os.makedirs(index_dir, exist_ok=True)
-        with commit.writer_lock(index_dir):
-            # re-entrant per thread: build_ivf_index takes the same lock
-            if not index_is_complete(index_dir):
-                return build_ivf_index(embeddings_ds, index_dir, **build_kwargs)
-    return np.load(os.path.join(index_dir, CENTROIDS))
 
 
 def ivf_search(index_dir: str, queries_df: pd.DataFrame, k: int = 10, n_probe: int = 4):

@@ -95,21 +95,6 @@ class EntityLinker:
         return pa.Table.from_pydict(out, schema=LINKS_SCHEMA)
 
 
-def link_triples(triples_ds, alias_table: dict, concurrency=(2, 8)):
-    """Wire the linker as an actor pool with the broadcast alias dict."""
-    import ray
-
-    alias_ref = ray.put(alias_table)
-    return triples_ds.map_batches(
-        EntityLinker,
-        fn_constructor_kwargs={"alias_ref": alias_ref},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=4096,
-        concurrency=concurrency,
-    )
-
-
 _LINKER_CACHE: dict = {}
 
 

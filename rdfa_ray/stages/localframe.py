@@ -11,8 +11,9 @@ twice — scans, joins, aggregates and filters are the same batch
 functions Ray would run; the frame only replaces the executor.  The
 one exception is ``groupby().aggregate()``, which maps Ray's
 ``Count``/``Sum``/``Min``/``Max``/``Mean`` onto Arrow ``group_by``.
-The finished frame is the query's answer: it has a result's consumer
-calls (``iter_batches``, ``to_arrow``, ``to_pandas``, …).
+The finished frame is the query's answer: it shares ``CONSUMER_CALLS``
+with a Dataset (its ``schema()`` is a ``pyarrow.Schema``) and adds
+``to_arrow()``; any other Dataset method names the promotion.
 
 Empty frames follow Ray's empty Datasets: a UDF is never called on
 zero rows (Ray's batcher skips empty blocks), so a transform of an
@@ -27,6 +28,12 @@ import inspect
 
 import pyarrow as pa
 import pyarrow.compute as pc
+
+
+# the result calls a small store query's frame shares with a Dataset
+CONSUMER_CALLS = ("iter_batches", "iter_rows", "take_all", "to_pandas",
+                  "count", "schema", "columns", "materialize")
+_PROMOTE = "ray.data.from_arrow(res.to_arrow())"
 
 
 def _acc(block):
@@ -216,7 +223,10 @@ class ArrowFrame:
     def union(self, *others):
         for o in others:
             if not isinstance(o, ArrowFrame):
-                raise TypeError("ArrowFrame.union takes frames, got %r" % type(o))
+                raise TypeError(
+                    "ArrowFrame.union takes frames, got %r; promote the frame "
+                    "with %s to union it with a Dataset" % (type(o), _PROMOTE)
+                )
         return ArrowFrame(_concat([self._block, *(o._block for o in others)]))
 
     def limit(self, n: int):
@@ -282,6 +292,16 @@ class ArrowFrame:
 
     def __repr__(self):
         return "ArrowFrame(num_rows=%d, schema=%s)" % (self.count(), self.columns())
+
+    def __getattr__(self, name):
+        # only for a name the frame lacks, e.g. write_parquet or take
+        if name.startswith("__"):
+            raise AttributeError(name)
+        raise AttributeError(
+            "ArrowFrame has no %r: a small store query's answer supports %s "
+            "and to_arrow; promote it with %s for the rest of the Dataset API"
+            % (name, ", ".join(CONSUMER_CALLS), _PROMOTE)
+        )
 
 
 def from_arrow_like(like, table: pa.Table):

@@ -684,15 +684,6 @@ def _empty_group_row(aggs, like):
     return from_arrow_like(like, pa.table(cols))
 
 
-def grouped_count_distinct(bindings, group_vars, var, alias, n_buckets: int = 64):
-    """``(COUNT(DISTINCT ?var) AS ?alias)`` — thin alias over
-    :func:`grouped_distinct_aggregate` (kept for callers that predate
-    the generalized distinct-set aggregates)."""
-    return grouped_distinct_aggregate(
-        bindings, group_vars, var, alias, fn="count", n_buckets=n_buckets
-    )
-
-
 def grouped_aggregate(bindings, group_vars, aggs, having=None, n_buckets: int = 64):
     """SPARQL GROUP BY with the full 1.1 aggregate set (§18.5.1):
     COUNT / SUM / AVG / MIN / MAX / SAMPLE / GROUP_CONCAT, plus HAVING.

@@ -4224,10 +4224,10 @@ def execute_on_store(store_dir: str, query: str, n_buckets: int = 64):
     (stages/localframe.py) with one bucket — buckets only partition
     work, and the frame runs it all in one process.  Larger reads run on
     Ray Data with ``n_buckets``.  A small query returns the finished
-    frame, which has the Dataset consumer calls (``iter_batches``,
-    ``to_arrow``, ``to_pandas``, …), so its answer never re-enters Ray;
-    a caller feeding it to more Ray Data work promotes it with
-    ``rd.from_arrow(result.to_arrow())``."""
+    frame, so its answer never re-enters Ray.  The frame shares
+    ``localframe.CONSUMER_CALLS`` with a Dataset; a caller that needs
+    any other Dataset method, or feeds the answer to more Ray Data work,
+    promotes it with ``rd.from_arrow(result.to_arrow())``."""
     from .kgstore import read_kg, read_kg_table
     from .localframe import ArrowFrame
 

@@ -140,39 +140,39 @@ def _vector_files(index_dir):
     }
 
 
-def test_ensure_ivf_index_two_threads_build_one_index(ray_session, tmp_path_factory, monkeypatch):
-    """Both callers miss the sentinel; the one that takes the writer
-    lock second must find the first's index, not rebuild it (a rebuild
-    deletes the vector files the first caller is searching)."""
+def test_ivf_index_two_threads_build_one_index(ray_session, tmp_path_factory, monkeypatch):
+    """Both callers miss the sentinel and call ``build_ivf_index``; the
+    one that takes the writer lock second must find the first's index,
+    not rebuild it (a rebuild deletes the vector files the first caller
+    is searching)."""
     import threading
-    import time
 
     import numpy as np
     import ray.data as rd
 
     from rdfa_ray.stages import ann_index
+    from rdfa_ray.state import commit
 
     rng = np.random.default_rng(0)
     embs = rd.from_items(
         [{"vec_id": i, "embedding": rng.normal(size=8).tolist()} for i in range(64)]
     )
     index_dir = str(tmp_path_factory.mktemp("ivf_two"))
-    real = ann_index.build_ivf_index
+    real_write = commit.atomic_write
     builds, built_files, cents = [], {}, []
+
+    def atomic_write(path, write):
+        real_write(path, write)
+        if path.endswith(ann_index.CENTROIDS):  # a build publishes
+            builds.append(threading.get_ident())
+            built_files.update(_vector_files(index_dir))
+
+    monkeypatch.setattr(commit, "atomic_write", atomic_write)
     start = threading.Barrier(2)
-
-    def build(*args, **kwargs):
-        builds.append(threading.get_ident())
-        time.sleep(0.3)  # the other caller checks the sentinel meanwhile
-        out = real(*args, **kwargs)
-        built_files.update(_vector_files(index_dir))
-        return out
-
-    monkeypatch.setattr(ann_index, "build_ivf_index", build)
 
     def caller():
         start.wait()
-        cents.append(ann_index.ensure_ivf_index(embs, index_dir, n_cells=4))
+        cents.append(ann_index.build_ivf_index(embs, index_dir))
 
     threads = [threading.Thread(target=caller) for _ in range(2)]
     for t in threads:
@@ -183,5 +183,5 @@ def test_ensure_ivf_index_two_threads_build_one_index(ray_session, tmp_path_fact
     assert len(cents) == 2 and np.array_equal(cents[0], cents[1])
     assert built_files and _vector_files(index_dir) == built_files
     # a complete index is loaded, never rebuilt
-    ann_index.ensure_ivf_index(embs, index_dir, n_cells=4)
+    assert np.array_equal(ann_index.build_ivf_index(embs, index_dir), cents[0])
     assert len(builds) == 1

@@ -337,3 +337,47 @@ def test_small_store_queries_never_touch_ray(ray_session, tmp_path, monkeypatch)
         local.append(_bag(pa.concat_tables(tables).to_pandas()))
     assert puts == [] and datasets == []
     assert local == on_ray
+
+
+def test_public_query_shared_calls_both_sides_of_limit(ray_session, tmp_path, monkeypatch):
+    """``rdfa_ray.query(store)`` returns a frame under the limit and a
+    Dataset above it; the calls its docstring lists answer alike on
+    both, and a Dataset-only call on a frame names the promotion."""
+    import rdfa_ray
+    from rdfa_ray.stages.localframe import CONSUMER_CALLS
+
+    store = _store(tmp_path, _template_rows(), graph=True)
+    q = "SELECT ?s ?o WHERE { ?s <%s> ?o }" % (_S + "name")
+
+    def shared(res):
+        assert all(callable(getattr(res, c)) for c in CONSUMER_CALLS)
+        res = res.materialize()
+        schema = res.schema()
+        batches = [
+            b for b in res.iter_batches(batch_size=4, batch_format="pandas")
+        ]
+        return (
+            res.count(), sorted(res.columns()), sorted(schema.names),
+            sorted(map(str, schema.types)),
+            _bag(res.to_pandas()), _bag(pd.concat(batches)),
+            sorted(map(repr, (sorted(r.items()) for r in res.iter_rows()))),
+            sorted(map(repr, (sorted(r.items()) for r in res.take_all()))),
+        )
+
+    monkeypatch.setattr(sparql_text, "LOCAL_MAX_ROWS", 0)
+    on_ray = rdfa_ray.query(store, q, n_buckets=4)
+    assert isinstance(on_ray, rd.Dataset)
+    monkeypatch.setattr(sparql_text, "LOCAL_MAX_ROWS", sys.maxsize)
+    local = rdfa_ray.query(store, q, n_buckets=4)
+    assert isinstance(local, ArrowFrame)
+    assert shared(local) == shared(on_ray)
+    assert shared(local)[0] == 9
+
+    with pytest.raises(AttributeError, match=r"from_arrow\(res\.to_arrow\(\)\)"):
+        local.write_parquet(str(tmp_path / "out"))
+    with pytest.raises(TypeError, match=r"from_arrow\(res\.to_arrow\(\)\)"):
+        local.union(on_ray)
+    assert not hasattr(local, "take")
+    promoted = rd.from_arrow(local.to_arrow())
+    assert promoted.union(on_ray).count() == 18
+    assert len(promoted.take(3)) == 3
