@@ -4477,8 +4477,10 @@ def q_kg_agg_stats(sf_dir: str):
     SUM / AVG / MIN / MAX of the Chinese documents' character counts,
     with HAVING COUNT(*) > 1 pruning singleton groups.  Algebraic
     partials combine map-side; one bucketed exchange of partial rows."""
+    import pyarrow.compute as pc
+
     from ..stages.bgp import bgp_match
-    from ..stages.sparql import grouped_aggregate
+    from ..stages.sparql import filter_bindings, grouped_aggregate
 
     b = bgp_match(
         _typed_triples(sf_dir),
@@ -4488,7 +4490,7 @@ def q_kg_agg_stats(sf_dir: str):
             ("?d", "http://schema.org/characterCount", "?n"),
         ],
     )
-    return grouped_aggregate(
+    agg = grouped_aggregate(
         b,
         ["src"],
         [
@@ -4498,8 +4500,8 @@ def q_kg_agg_stats(sf_dir: str):
             ("min", "n", "min_chars", "num"),
             ("max", "n", "max_chars", "num"),
         ],
-        having=lambda df: df["n_docs"] > 1,
     )
+    return filter_bindings(agg, lambda t: pc.greater(t.column("n_docs"), 1))
 
 
 def q_kg_group_concat(sf_dir: str):

@@ -20,6 +20,9 @@ variables:
   ``bucketed_hash_join`` exchange per pattern, with multi-variable
   keys packed into a single composite column (``\\x1f``-joined — the
   same single-key contract every other join in the repo uses);
+  a scan small enough to broadcast (``broadcast_limit``) joins
+  map-side instead: one Arrow ``Table.join`` per bindings batch
+  against the all-string scan table carried in the UDF's closure;
 * the caller orders patterns most-selective-first (constants first),
   exactly the heuristic a SPARQL engine's greedy optimizer applies.
 
@@ -45,10 +48,12 @@ queries (pyRdfa/__init__.py:630-676 returns a Graph).
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .join import bucketed_hash_join
+from .localframe import from_arrow_like, string_table
 
 # zip() truncates to the pattern's own length, so 3-tuples never touch
 # the graph column and run unchanged on plain triples datasets
@@ -180,31 +185,32 @@ def _with_key(ds, key_vars, all_vars):
     return ds.map_batches(add_key, batch_format="pyarrow"), schema
 
 
-def _broadcast_step(bindings, scan_df, shared, bound, p_vars):
-    """One BGP join step with the (measured-small) scan broadcast: the
-    UDF's closure carries the scan's bindings (Ray Data ships a map
-    operator's UDF once per operator; an in-process frame ships
-    nothing), vectorized pandas inner merge on the shared variables
-    INSIDE map_batches over the accumulated bindings — zero exchange
-    (the adaptive move a SPARQL engine's optimizer makes for
-    constants-heavy, highly selective patterns)."""
-    new_vars = [v for v in p_vars if v not in bound]
-    out_vars = bound + new_vars
-    out_schema = pa.schema([(v, pa.string()) for v in out_vars])
-    empty = out_schema.empty_table()
+def _broadcast_step(scan: pa.Table, shared, bound, p_vars):
+    """One BGP join step with the (measured-small) scan broadcast:
+    ``(merge_batch, out_vars)``, where the map kernel ``merge_batch``
+    carries the all-string ``scan`` table in its closure (Ray Data
+    ships a map operator's UDF once per operator; an in-process frame
+    ships nothing) and inner-joins each bindings batch, cast to
+    strings, with it on the ``shared`` variables — zero exchange (the
+    adaptive move a SPARQL engine's optimizer makes for
+    constants-heavy, highly selective patterns).  Rows come out in
+    batch order, then scan order (a nested loop's order); a null cell
+    becomes ``"None"`` and never matches a key, as in the pandas
+    kernel this replaced."""
+    out_vars = bound + [v for v in p_vars if v not in bound]
+    as_str = pa.schema([(v, pa.string()) for v in bound])
+    scan = pa.table(
+        {c: pc.fill_null(scan.column(c), "None") for c in scan.column_names}
+    ).append_column("__r", pa.array(np.arange(scan.num_rows)))
 
     def merge_batch(batch: pa.Table) -> pa.Table:
-        left = batch.to_pandas()
-        if not len(left):
-            return empty
-        m = left.merge(scan_df, on=list(shared), how="inner")
-        if not len(m):
-            return empty
-        return pa.Table.from_pandas(
-            m[out_vars].astype(str), schema=out_schema, preserve_index=False
-        ).replace_schema_metadata(None)
+        left = batch.select(bound).cast(as_str)
+        left = left.append_column("__l", pa.array(np.arange(left.num_rows)))
+        m = left.join(scan, keys=list(shared), join_type="inner", use_threads=False)
+        m = m.sort_by([("__l", "ascending"), ("__r", "ascending")])
+        return pa.table({v: pc.fill_null(m.column(v), "None") for v in out_vars})
 
-    return bindings.map_batches(merge_batch, batch_format="pyarrow"), out_vars
+    return merge_batch, out_vars
 
 
 def bgp_match(
@@ -227,7 +233,7 @@ def bgp_match(
     Adaptive join choice per step: each pattern's scan is materialized
     (one cheap pass over the already-materialized triples) and COUNTED;
     a scan at or below ``broadcast_limit`` bindings is broadcast (in
-    the map UDF's closure, map-side pandas merge — zero exchange),
+    the map UDF's closure, map-side Arrow join — zero exchange),
     larger scans take the general bucketed hash join.  Constants-first BGPs
     therefore usually pay no exchange at all after the first scan.
     """
@@ -258,22 +264,18 @@ def bgp_match(
             scan = scan.select_columns(p_vars + new_metas)
         p_vars = p_vars + new_metas
         if scan.count() <= broadcast_limit:
-            scan_df = scan.to_pandas()
-            if not len(scan_df):
+            scan_t = string_table(scan)
+            if not scan_t.num_rows:
                 # typed empty result: no solution can extend
                 out_vars = bound + [v for v in p_vars if v not in bound]
-                from .localframe import from_arrow_like
-
                 empty = pa.schema(
                     [(v, pa.string()) for v in out_vars]
                 ).empty_table()
                 bindings = from_arrow_like(triples_ds, empty)
                 bound = out_vars
                 continue
-            scan_df = scan_df.astype(str)
-            bindings, bound = _broadcast_step(
-                bindings, scan_df, shared, bound, p_vars
-            )
+            merge_batch, bound = _broadcast_step(scan_t, shared, bound, p_vars)
+            bindings = bindings.map_batches(merge_batch, batch_format="pyarrow")
             continue
         left, left_schema = _with_key(bindings, shared, bound)
         right, right_schema = _with_key(scan, shared, p_vars)

@@ -52,6 +52,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .distinct import group_in_order
 from .join import bucketed_hash_join
 
 def _pair_schema(kt: pa.DataType) -> pa.Schema:
@@ -149,11 +150,11 @@ def _shuffle_round(edges, paths, frontier, n_buckets: int, kt: pa.DataType):
             {"src": batch.column("src"), "dst": batch.column("dst2")}
         )
 
-    def dedup_pairs(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.drop_duplicates(["src", "dst"])
+    def dedup_pairs(batch: pa.Table) -> pa.Table:
+        return group_in_order(batch, ["src", "dst"])
 
     step_pairs = step.map_batches(to_pairs, batch_format="pyarrow").map_batches(
-        dedup_pairs, batch_format="pandas"
+        dedup_pairs, batch_format="pyarrow"
     )
 
     pair_schema_k = pa.schema([("src", kt), ("dst", kt), ("kk", pa.string())])

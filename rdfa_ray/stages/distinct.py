@@ -8,8 +8,8 @@ pattern the engine uses everywhere:
   1. map-side partial dedup inside ``map_batches`` (Arrow ``group_by``
      — vectorized, shrinks the shuffle to unique-per-block rows), then
   2. one keyed exchange (``functions/exchange.keyed_exchange``) whose
-     per-bucket kernel is a single vectorized ``drop_duplicates`` over
-     the whole bucket.
+     per-bucket kernel is the same dedup over the whole bucket (dedup
+     is idempotent, so the reducer is the partial).
 
 ``extra`` columns ride along with deterministic min-semantics (the
 lexicographically smallest extra tuple per key survives — associative,
@@ -18,12 +18,48 @@ so partial+final agree regardless of block boundaries).
 
 from __future__ import annotations
 
-import pandas as pd
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.exchange import keyed_exchange
 
 N_BUCKETS = 64
+_FIRST_ROW = "__first_row"
+
+
+def group_in_order(t: pa.Table, keys, aggs=()) -> pa.Table:
+    """``t.group_by(keys).aggregate(aggs)`` on one thread, groups in
+    order of first appearance: the key columns, then the aggregates.
+    Arrow's hash grouper does not promise that order by itself (a key
+    whose hash collides is numbered after the rest of its minibatch)."""
+    t = t.append_column(_FIRST_ROW, pa.array(np.arange(t.num_rows)))
+    g = t.group_by(list(keys), use_threads=False).aggregate(
+        [*aggs, (_FIRST_ROW, "min")]
+    )
+    return g.sort_by(_FIRST_ROW + "_min").drop_columns([_FIRST_ROW + "_min"])
+
+
+def _distinct_kernel(cols, extra):
+    """The partial dedup, which is also the per-bucket reducer: rows in
+    first-appearance order, ``cols`` then ``extra``."""
+    out_cols = cols + extra
+
+    def dedup(batch: pa.Table) -> pa.Table:
+        t = batch.select(out_cols)
+        if not extra:
+            return group_in_order(t, cols)
+        # ROW-WISE min: sort by cols+extra, take the first extra
+        # tuple per key.  Independent per-column mins here would fabricate
+        # (extra1_min, extra2_min) combinations that never co-occurred
+        # and make the survivor depend on block boundaries.
+        t = t.sort_by([(c, "ascending") for c in out_cols])
+        # "first" keeps a null: the survivor is one whole row
+        keep_null = pc.ScalarAggregateOptions(skip_nulls=False)
+        g = group_in_order(t, cols, [(e, "first", keep_null) for e in extra])
+        return g.rename_columns(out_cols)
+
+    return dedup
 
 
 def distinct(ds, cols, n_buckets: int = N_BUCKETS, extra=()):
@@ -31,41 +67,8 @@ def distinct(ds, cols, n_buckets: int = N_BUCKETS, extra=()):
 
     Returns a Dataset with exactly ``list(cols) + list(extra)`` columns.
     """
-    cols = list(cols)
-    extra = list(extra)
-    out_cols = cols + extra
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.select(out_cols)
-        if extra:
-            # ROW-WISE min: sort by cols+extra, take the first extra
-            # tuple per key (single-threaded group_by preserves scan
-            # order).  Independent per-column mins here would fabricate
-            # (extra1_min, extra2_min) combinations that never
-            # co-occurred and make the survivor depend on block
-            # boundaries — the reduce side dedups on whole rows, so
-            # partial and final must agree on the same row.
-            t = t.sort_by([(c, "ascending") for c in out_cols])
-            g = t.group_by(cols, use_threads=False).aggregate(
-                [(e, "first") for e in extra]
-            )
-            # aggregate output names are '<col>_first'; rebuild in order
-            g = pa.Table.from_pydict(
-                {
-                    **{c: g.column(c) for c in cols},
-                    **{e: g.column(e + "_first") for e in extra},
-                }
-            )
-        else:
-            g = t.group_by(cols).aggregate([])
-            g = g.select(cols)
-        return g
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-
-    def bucket_distinct(group: pd.DataFrame) -> pd.DataFrame:
-        if extra:
-            group = group.sort_values(out_cols, kind="mergesort")
-        return group.drop_duplicates(cols)[out_cols]
-
-    return keyed_exchange(partials, cols, bucket_distinct, n_buckets)
+    dedup = _distinct_kernel(list(cols), list(extra))
+    return keyed_exchange(
+        ds.map_batches(dedup, batch_format="pyarrow"), list(cols), dedup,
+        n_buckets, batch_format="pyarrow",
+    )

@@ -15,11 +15,14 @@ The finished frame is the query's answer: it shares ``CONSUMER_CALLS``
 with a Dataset (its ``schema()`` is a ``pyarrow.Schema``) and adds
 ``to_arrow()``; any other Dataset method names the promotion.
 
+The frame holds a ``pa.Table`` only: its transforms run
+``batch_format="pyarrow"`` UDFs, the query path's one batch format;
+its consumer calls hand out every format a Dataset does.
+
 Empty frames follow Ray's empty Datasets: a UDF is never called on
 zero rows (Ray's batcher skips empty blocks), so a transform of an
 empty frame has no schema, and ``to_pandas()`` of any zero-row frame
-is a zero-column DataFrame.  Batch conversions go through Ray's own
-``BlockAccessor``, so a UDF sees the batch Ray would hand it.
+is a zero-column DataFrame.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ def _acc(block):
 
 
 def _rows(block) -> int:
-    return 0 if block is None else _acc(block).num_rows()
+    return 0 if block is None else block.num_rows
 
 
 def _concat(blocks: list):
@@ -63,13 +66,22 @@ def _concat(blocks: list):
     return merged.build()
 
 
-def _call(fn, batch, fn_args, fn_kwargs) -> list:
-    """UDF outputs as blocks; a generator UDF yields several."""
-    from ray.data.block import BlockAccessor
+def _pyarrow_only(batch_format):
+    if batch_format != "pyarrow":
+        raise ValueError(
+            "an ArrowFrame runs batch_format='pyarrow' UDFs only, got %r; "
+            "promote the frame with %s for other formats"
+            % (batch_format, _PROMOTE)
+        )
 
+
+def _call(fn, batch, fn_args, fn_kwargs) -> list:
+    """UDF outputs; a generator UDF yields several."""
     out = fn(batch, *(fn_args or ()), **(fn_kwargs or {}))
     outs = list(out) if inspect.isgenerator(out) else [out]
-    return [BlockAccessor.batch_to_block(o) for o in outs]
+    if not all(isinstance(o, pa.Table) for o in outs):
+        raise TypeError("an ArrowFrame UDF must return pa.Table")
+    return outs
 
 
 def _udf(fn, ctor_args, ctor_kwargs):
@@ -77,10 +89,6 @@ def _udf(fn, ctor_args, ctor_kwargs):
     if isinstance(fn, type):
         return fn(*(ctor_args or ()), **(ctor_kwargs or {}))
     return fn
-
-
-def _format(batch_format):
-    return "numpy" if batch_format == "default" else batch_format
 
 
 def _keys(key) -> list:
@@ -121,19 +129,16 @@ class _GroupedFrame:
                    fn_kwargs=None, fn_constructor_args=None,
                    fn_constructor_kwargs=None, **_ray_args):
         """One ``fn`` call per key, in sorted key order."""
+        _pyarrow_only(batch_format)
         block = self._frame._block
         if not _rows(block):
             return ArrowFrame(None)
         fn = _udf(fn, fn_constructor_args, fn_constructor_kwargs)
-        t = _acc(block).to_arrow()
-        if self._keys:
-            t = t.sort_by([(k, "ascending") for k in self._keys])
+        t = block.sort_by([(k, "ascending") for k in self._keys]) if self._keys else block
         bounds = _group_bounds(t, self._keys)
-        fmt = _format(batch_format)
         outs = []
         for lo, hi in zip(bounds, bounds[1:]):
-            group = _acc(t.slice(lo, hi - lo)).to_batch_format(fmt)
-            outs.extend(_call(fn, group, fn_args, fn_kwargs))
+            outs.extend(_call(fn, t.slice(lo, hi - lo), fn_args, fn_kwargs))
         return ArrowFrame(_concat(outs))
 
     def aggregate(self, *aggs):
@@ -143,7 +148,6 @@ class _GroupedFrame:
         block = self._frame._block
         if not _rows(block):
             return ArrowFrame(None)
-        t = _acc(block).to_arrow()
         specs = []
         for agg in aggs:
             kind = type(agg).__name__
@@ -163,7 +167,7 @@ class _GroupedFrame:
                     "in-process groupby().aggregate() supports Count/Sum/"
                     "Min/Max/Mean, not %s" % kind
                 )
-        g = t.group_by(self._keys, use_threads=False).aggregate(specs)
+        g = block.group_by(self._keys, use_threads=False).aggregate(specs)
         # Arrow names outputs '<col>_<fn>' (or 'count_all'): positional
         agg_cols = [c for c in g.column_names if c not in self._keys]
         cols = {k: g.column(k) for k in self._keys}
@@ -176,13 +180,15 @@ class _GroupedFrame:
 
 
 class ArrowFrame:
-    """One materialized block (``pa.Table`` or ``pd.DataFrame``, or
-    ``None`` for an empty result of unknown schema) behind the subset
-    of the ``ray.data.Dataset`` API the query path uses."""
+    """One materialized ``pa.Table`` (or ``None`` for an empty result of
+    unknown schema) behind the subset of the ``ray.data.Dataset`` API
+    the query path uses."""
 
     __slots__ = ("_block",)
 
-    def __init__(self, block):
+    def __init__(self, block: pa.Table | None):
+        if block is not None and not isinstance(block, pa.Table):
+            raise TypeError("an ArrowFrame holds a pa.Table, got %r" % type(block))
         self._block = block
 
     # -- transforms ------------------------------------------------------
@@ -190,11 +196,11 @@ class ArrowFrame:
     def map_batches(self, fn, *, batch_format="default", fn_args=None,
                     fn_kwargs=None, fn_constructor_args=None,
                     fn_constructor_kwargs=None, **_ray_args):
+        _pyarrow_only(batch_format)
         if not _rows(self._block):
             return ArrowFrame(None)
         fn = _udf(fn, fn_constructor_args, fn_constructor_kwargs)
-        batch = _acc(self._block).to_batch_format(_format(batch_format))
-        return ArrowFrame(_concat(_call(fn, batch, fn_args, fn_kwargs)))
+        return ArrowFrame(_concat(_call(fn, self._block, fn_args, fn_kwargs)))
 
     def materialize(self):
         return self
@@ -232,16 +238,15 @@ class ArrowFrame:
     def limit(self, n: int):
         if _rows(self._block) <= n:
             return self
-        return ArrowFrame(_acc(self._block).slice(0, n, copy=False))
+        return ArrowFrame(self._block.slice(0, n))
 
     def sort(self, key, descending=False):
         if not _rows(self._block):
             return ArrowFrame(None)
         keys = _keys(key)
         desc = descending if isinstance(descending, list) else [descending] * len(keys)
-        t = _acc(self._block).to_arrow()
         return ArrowFrame(
-            t.sort_by([(k, "descending" if d else "ascending") for k, d in zip(keys, desc)])
+            self._block.sort_by([(k, "descending" if d else "ascending") for k, d in zip(keys, desc)])
         )
 
     def groupby(self, key):
@@ -253,27 +258,23 @@ class ArrowFrame:
         return _rows(self._block)
 
     def schema(self):
-        if self._block is None or not len(self._block.columns):
+        if self._block is None or not self._block.num_columns:
             return None
-        return _acc(self._block).to_arrow().schema
+        return self._block.schema
 
     def columns(self):
         schema = self.schema()
         return None if schema is None else list(schema.names)
 
     def to_pandas(self):
-        import pandas as pd
-
         if not _rows(self._block):
-            return pd.DataFrame()
+            return pa.table({}).to_pandas()
         return _acc(self._block).to_pandas().reset_index(drop=True)
 
     def to_arrow(self) -> pa.Table:
         """The frame as one Arrow table (zero columns when the frame is
         an empty result of unknown schema)."""
-        if self._block is None:
-            return pa.table({})
-        return _acc(self._block).to_arrow()
+        return pa.table({}) if self._block is None else self._block
 
     def iter_rows(self):
         if _rows(self._block):
@@ -285,10 +286,9 @@ class ArrowFrame:
     def iter_batches(self, *, batch_size=256, batch_format="default", **_kwargs):
         n = _rows(self._block)
         step = n if batch_size is None else batch_size
-        fmt = _format(batch_format)
+        fmt = "numpy" if batch_format == "default" else batch_format
         for lo in range(0, n, max(step, 1)):
-            piece = _acc(self._block).slice(lo, min(lo + step, n), copy=False)
-            yield _acc(piece).to_batch_format(fmt)
+            yield _acc(self._block.slice(lo, step)).to_batch_format(fmt)
 
     def __repr__(self):
         return "ArrowFrame(num_rows=%d, schema=%s)" % (self.count(), self.columns())
@@ -314,3 +314,20 @@ def from_arrow_like(like, table: pa.Table):
     import ray.data as rd
 
     return rd.from_arrow(table)
+
+
+def string_table(ds) -> pa.Table:
+    """All of ``ds`` (a frame or a Ray Dataset) as one ``pa.Table``
+    whose columns are all ``pa.string()``, nulls kept: what a broadcast
+    side carries into a map UDF's closure."""
+    if isinstance(ds, ArrowFrame):
+        blocks = [ds.to_arrow()]
+    else:
+        import ray
+
+        blocks = ray.get(ds.to_arrow_refs())
+    full = [b for b in blocks if b.num_rows] or [b for b in blocks if b.num_columns][:1]
+    if not full:
+        return pa.table({})
+    schema = pa.schema([(c, pa.string()) for c in full[0].column_names])
+    return pa.concat_tables([b.select(schema.names).cast(schema) for b in full])

@@ -43,8 +43,10 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.exchange import keyed_exchange
 from .bgp import _scan, _with_key, bgp_match, pattern_vars
 from .closure import transitive_closure
+from .distinct import group_in_order
 from .join import bucketed_hash_join
 
 UNBOUND = ""  # sentinel for SPARQL-unbound variables
@@ -575,89 +577,161 @@ def aggregate_bindings(triples_ds, patterns, group_vars, n_buckets: int = 64):
     return bindings.groupby(list(group_vars)).aggregate(Count(alias_name="n"))
 
 
+# ---------------------------------------------------------------------------
+# Arrow kernels of the aggregates and ORDER BY / LIMIT
+
+_SEP = "\x1f"  # the engine's group_concat wire separator
+_WS = " \t\n\v\f\r"
+# the lexical forms pandas' to_numeric parses: ASCII digits only (no
+# "1_000", no Arabic-Indic digits), an optional sign, inf / infinity;
+# "nan" is left out because it coerces to missing anyway
+_NUM_RE = r"^[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?$|^[+-]?inf(?:inity)?$"
+
+
+def _nan_null(x):
+    """NaN as null: the missing value the pandas kernels made of it."""
+    if not pa.types.is_floating(x.type):
+        return x
+    return pc.if_else(pc.is_nan(x), pa.scalar(None, x.type), x)
+
+
+def to_numeric(col):
+    """``pandas.to_numeric(col, errors="coerce")`` in Arrow, with
+    missing values null.  Strings are trimmed of ASCII whitespace.  A
+    column whose every value is an integer lexical becomes int64
+    (uint64 past int64's range, float64 past both); any other column
+    becomes float64, its non-numeric and overflowing ("1e309") values
+    null.  Doubles are correctly rounded; past 15 significant digits
+    or at large exponents pandas' parser can be one ulp off."""
+    t = col.type
+    if pa.types.is_integer(t):
+        return pc.cast(col, pa.float64()) if col.null_count else col
+    if pa.types.is_floating(t):
+        return _nan_null(col)
+    s = pc.utf8_trim(pc.cast(col, pa.string()), _WS)
+    ok = pc.fill_null(pc.match_substring_regex(s, _NUM_RE, ignore_case=True), False)
+    s = pc.replace_substring_regex(pc.if_else(ok, s, None), r"^\+", "")
+    if pc.all(ok, min_count=0).as_py():  # int64, else uint64, else float64
+        for int_type in (pa.int64(), pa.uint64()):
+            try:
+                return pc.cast(s, int_type)
+            except pa.ArrowInvalid:
+                pass
+    x = pc.cast(s, pa.float64())
+    # inf from a lexical without an "n" (not inf/infinity) overflowed
+    overflow = pc.and_(pc.is_inf(x), pc.invert(pc.match_substring(s, "n", ignore_case=True)))
+    return pc.if_else(overflow, pa.scalar(None, pa.float64()), x)
+
+
+def _group(t: pa.Table, gvars, specs) -> pa.Table:
+    """``group_in_order``: the key columns, then one column per
+    ``(name, column, fn)`` spec, named ``name``, NaN as null, a
+    ``list`` as its strings sorted and joined on ``_SEP``.  A sum over
+    no number is 0; a null key forms no group (as in pandas)."""
+    for g in gvars:
+        t = t.filter(pc.is_valid(t.column(g)))
+    sum0 = pc.ScalarAggregateOptions(min_count=0)  # options do not pickle
+    g = group_in_order(
+        t, gvars, [(c, fn, sum0) if fn == "sum" else (c, fn) for _name, c, fn in specs]
+    )
+    # aggregate names may repeat (count_all): positional
+    cols = [g.column(i) for i in range(g.num_columns)]
+    return pa.Table.from_arrays(
+        [_sorted_join(c) if pa.types.is_list(c.type) else _nan_null(c) for c in cols],
+        names=[*gvars, *(s[0] for s in specs)],
+    )
+
+
+def _as_text(col):
+    """Group_concat values: strings, null as ``"None"`` (the pandas
+    kernels' ``astype(str)``)."""
+    return pc.fill_null(pc.cast(col, pa.string()), "None")
+
+
+def _sorted_join(lists):
+    """Each list's strings in code-point order, joined on ``_SEP``."""
+    if isinstance(lists, pa.ChunkedArray):
+        lists = lists.combine_chunks()
+    flat = pc.list_flatten(lists)
+    order = pc.sort_indices(
+        pa.table({"p": pc.list_parent_indices(lists), "v": flat}),
+        sort_keys=[("p", "ascending"), ("v", "ascending")],
+    )
+    offsets = pc.subtract(lists.offsets, lists.offsets[0])
+    return pc.binary_join(pa.ListArray.from_arrays(offsets, flat.take(order)), _SEP)
+
+
+def _distinct_aggregate_kernels(gvars, var, alias, fn):
+    """``(partial, reduce_bucket)`` of :func:`grouped_distinct_aggregate`."""
+    cols = list(dict.fromkeys([*gvars, var]))  # ?v may also be a group key
+    aggs = {"count": "count", "sum": "sum", "avg": "mean", "group_concat": "list"}
+    if fn not in aggs:
+        raise ValueError("unknown distinct aggregate %r" % fn)
+
+    def partial(batch: pa.Table) -> pa.Table:
+        return group_in_order(batch.select(cols), cols)
+
+    def reduce_bucket(group: pa.Table) -> pa.Table:
+        d = partial(group)
+        v = d.column(var)
+        if fn in ("sum", "avg"):
+            v = to_numeric(v)  # typed over the whole bucket, as pandas did
+        elif fn == "group_concat":
+            v = _as_text(v)
+        out = _group(d.select(gvars).append_column("__v", v), gvars,
+                     [(alias, "__v", aggs[fn])])
+        if fn in ("sum", "avg"):
+            return out.set_column(
+                len(gvars), alias, pc.cast(out.column(alias), pa.float64(), safe=False)
+            )
+        return out
+
+    return partial, reduce_bucket
+
+
 def grouped_distinct_aggregate(bindings, group_vars, var, alias, fn="count",
                                n_buckets: int = 64):
     """SPARQL ``(AGG(DISTINCT ?var) AS ?alias) ... GROUP BY`` — the
     aggregates whose partial is not fixed-width because the distinct
     VALUE SET must survive to the reduce.  Two-level
-    distinct-then-aggregate: map-side drop_duplicates on (group,
+    distinct-then-aggregate: a map-side Arrow ``group_by`` on (group,
     value) bounds each block's contribution by its distinct pairs, ONE
-    bucketed exchange of those pairs, then a vectorized per-bucket
-    dedup + final aggregate.  A hot group ships its distinct values
+    bucketed exchange of those pairs, then a per-bucket dedup + final
+    ``group_by`` aggregate.  A hot group ships its distinct values
     once per block, never its row count.
 
-    ``fn``: ``count`` (nunique), ``sum`` / ``avg`` (numeric over the
-    distinct lexical values), or ``group_concat`` (sorted
-    ``\\x1f``-join of the distinct values — same wire format as
-    :func:`grouped_aggregate`, callers re-join on their separator)."""
-    import pandas as pd
-
-    from ..functions.exchange import keyed_exchange
-
+    ``fn``: ``count`` (distinct non-null values), ``sum`` / ``avg``
+    (float64 over the distinct lexical values, by :func:`to_numeric`),
+    or ``group_concat`` (sorted ``\\x1f``-join of the distinct values
+    — same wire format as :func:`grouped_aggregate`, callers re-join
+    on their separator)."""
     gvars = list(group_vars)
 
     if not gvars:
-        # global distinct aggregate: one hidden constant group (SPARQL
-        # treats the whole solution set as one group), dropped after
-        hidden = "__all"
+        return _one_group(
+            bindings, [(fn, var, alias)],
+            lambda b, g: grouped_distinct_aggregate(b, g, var, alias, fn=fn, n_buckets=1),
+        )
 
-        def add_key(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                hidden, pa.array(["0"] * t.num_rows, pa.string())
-            )
-
-        out = grouped_distinct_aggregate(
-            bindings.map_batches(add_key, batch_format="pyarrow"),
-            [hidden],
-            var,
-            alias,
-            fn=fn,
-            n_buckets=1,
-        ).select_columns([alias]).materialize()
-        if out.count() == 0:
-            # SPARQL §18.5: zero solutions still form ONE empty group —
-            # COUNT(DISTINCT)=0, SUM/AVG=0, GROUP_CONCAT="".  Cheap to
-            # patch here: the ungrouped result is at most one row.
-            return _empty_group_row([(fn, var, alias)], like=out)
-        return out
-
-    cols = [*gvars, var]
-    sep = "\x1f"
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        if not len(batch):
-            return pd.DataFrame()
-        out = batch[cols].drop_duplicates()
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-
-    out_dtype = {"count": "int64", "sum": "float64", "avg": "float64"}.get(
-        fn, "object"
-    )
-
-    def reduce_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        d = group.drop_duplicates(cols)
-        if fn in ("sum", "avg"):
-            d = d.assign(**{var: pd.to_numeric(d[var], errors="coerce")})
-        gb = d.groupby(gvars, sort=False)[var]
-        if fn == "count":
-            s = gb.nunique()
-        elif fn == "sum":
-            s = gb.sum()
-        elif fn == "avg":
-            s = gb.mean()
-        elif fn == "group_concat":
-            s = gb.agg(lambda vv: sep.join(sorted(vv.astype(str))))
-        else:
-            raise ValueError("unknown distinct aggregate %r" % fn)
-        out = s.reset_index()[gvars]
-        out[alias] = s.to_numpy()
-        if out_dtype != "object":
-            out[alias] = out[alias].astype(out_dtype)
-        return out
-
+    partial, reduce_bucket = _distinct_aggregate_kernels(gvars, var, alias, fn)
     return keyed_exchange(
-        bindings.map_batches(partial, batch_format="pandas"), gvars, reduce_bucket, n_buckets
+        bindings.map_batches(partial, batch_format="pyarrow"), gvars,
+        reduce_bucket, n_buckets, batch_format="pyarrow",
     )
+
+
+def _one_group(bindings, aggs, aggregate):
+    """An ungrouped aggregate: SPARQL treats the whole solution set as
+    one group, so ``aggregate(bindings, gvars)`` runs under a constant
+    hidden key, dropped after.  Zero solutions still yield ONE row (the
+    SPARQL §18.5 empty-group result, :func:`_empty_group_row`)."""
+
+    def add_key(t: pa.Table) -> pa.Table:
+        return t.append_column("__all", pa.array(["0"] * t.num_rows, pa.string()))
+
+    out = aggregate(bindings.map_batches(add_key, batch_format="pyarrow"), ["__all"])
+    out = out.select_columns([a[2] for a in aggs]).materialize()
+    return _empty_group_row(aggs, like=out) if out.count() == 0 else out
 
 
 def _empty_group_row(aggs, like):
@@ -684,132 +758,90 @@ def _empty_group_row(aggs, like):
     return from_arrow_like(like, pa.table(cols))
 
 
-def grouped_aggregate(bindings, group_vars, aggs, having=None, n_buckets: int = 64):
+def _aggregate_kernels(gvars, aggs):
+    """``(partial, reduce_bucket)`` of :func:`grouped_aggregate`.  The
+    partial's columns per alias: ``c__`` count, ``s__`` sum (and
+    ``n__`` count of numbers for avg), ``m__`` min/max, ``w__`` sample
+    witness, ``g__`` sorted ``_SEP``-joined group_concat values."""
+    # fn -> (partial column prefix, partial aggregate, reduce aggregate)
+    parts = {"count": ("c__", "count_all", "sum"), "sum": ("s__", "sum", "sum"),
+             "min": ("m__", "min", "min"), "max": ("m__", "max", "max"),
+             "sample": ("w__", "min", "min"), "group_concat": ("g__", "list", "list")}
+    specs, final = [], []
+    for fn, _var, alias, *_ in aggs:
+        if fn not in parts and fn != "avg":
+            raise ValueError("unknown aggregate %r" % fn)
+        avg = [("s__", "sum", "sum"), ("n__", "count", "sum")]
+        for prefix, p_op, r_op in avg if fn == "avg" else [parts[fn]]:
+            col = [] if p_op == "count_all" else "__v_" + alias
+            specs.append((prefix + alias, col, p_op))
+            final.append(("n__" + alias if prefix == "n__" else alias, prefix + alias, r_op))
+
+    def partial(batch: pa.Table) -> pa.Table:
+        cols = {g: batch.column(g) for g in gvars}
+        for fn, var, alias, *flags in aggs:
+            if fn == "group_concat":
+                cols["__v_" + alias] = _as_text(batch.column(var))
+            elif fn in ("sum", "avg") or (fn != "count" and "num" in flags):
+                # typed over the whole batch, as pandas did
+                cols["__v_" + alias] = to_numeric(batch.column(var))
+            elif fn != "count":
+                cols["__v_" + alias] = batch.column(var)
+        return _group(pa.table(cols), gvars, specs)
+
+    def reduce_bucket(group: pa.Table) -> pa.Table:
+        g = _group(group, gvars, final)
+        cols = [g.column(k) for k in gvars]
+        for fn, _var, alias, *_ in aggs:
+            c = g.column(alias)
+            if fn == "avg":
+                c = _nan_null(pc.divide(pc.cast(c, pa.float64(), safe=False),
+                                        pc.cast(g.column("n__" + alias), pa.float64())))
+            elif fn == "group_concat":
+                # the partials joined whole; re-sort their tokens
+                c = _sorted_join(pc.split_pattern(c, _SEP))
+            cols.append(c)
+        return pa.Table.from_arrays(cols, names=[*gvars, *(a[2] for a in aggs)])
+
+    return partial, reduce_bucket
+
+
+def grouped_aggregate(bindings, group_vars, aggs, n_buckets: int = 64):
     """SPARQL GROUP BY with the full 1.1 aggregate set (§18.5.1):
-    COUNT / SUM / AVG / MIN / MAX / SAMPLE / GROUP_CONCAT, plus HAVING.
+    COUNT / SUM / AVG / MIN / MAX / SAMPLE / GROUP_CONCAT.  HAVING is a
+    :func:`filter_bindings` over the result (SPARQL Having is a Filter
+    over the aggregated solutions).
 
     ``aggs``: list of ``(fn, var, alias)`` or ``(fn, var, alias,
     "num")`` — ``fn`` one of ``count`` (var ignored, COUNT(*)),
-    ``sum``/``avg``/``min``/``max`` (var cast to float64 for sum/avg;
-    min/max stay in the var's dtype unless the ``"num"`` flag casts
-    them — SPARQL compares literals by datatype, and bindings carry
-    lexical forms),
+    ``sum``/``avg``/``min``/``max`` (var read by :func:`to_numeric` for
+    sum/avg, avg as float64; min/max stay in the var's type unless the
+    ``"num"`` flag reads them as numbers — SPARQL compares literals by
+    datatype, and bindings carry lexical forms),
     ``sample`` (deterministic: the MIN value — SPARQL allows any
     witness, a fixed choice keeps runs reproducible), ``group_concat``
     (values globally sorted then ``sep``-joined, the deterministic
     order DuckDB's ``string_agg(... ORDER BY ...)`` mirrors).
 
-    Two-level plan: a vectorized per-batch pandas groupby emits ONE
-    partial row per (group, block) — algebraic partials (counts, sums,
-    mins, maxes, avg's sum+count pair) stay fixed-width; only
-    group_concat's partial grows with the batch's values (it is
-    holistic — callers should reserve it for bounded-cardinality
-    columns, same caveat as any engine's STRING_AGG).  Partials then
-    shuffle ONCE bucketed by group-key hash and reduce vectorized per
-    bucket.  A hot group contributes num_blocks partial rows, not its
-    row count.  ``having``: a callable final-frame -> boolean mask,
-    applied map-side after the reduce (SPARQL Having is a Filter over
-    the aggregated solutions)."""
-    import pandas as pd
-
-    from ..functions.exchange import keyed_exchange
-
+    Two-level plan: a per-batch Arrow ``group_by`` emits ONE partial
+    row per (group, block) — algebraic partials (counts, sums, mins,
+    maxes, avg's sum+count pair) stay fixed-width; only group_concat's
+    partial grows with the batch's values (it is holistic — callers
+    should reserve it for bounded-cardinality columns, same caveat as
+    any engine's STRING_AGG).  Partials then shuffle ONCE bucketed by
+    group-key hash and reduce with one ``group_by`` per bucket.  A hot
+    group contributes num_blocks partial rows, not its row count."""
     gvars = list(group_vars)
-    sep = "\x1f"
 
     if not gvars:
-        # global (ungrouped) aggregate — SPARQL treats the whole
-        # solution set as one group: aggregate under a constant hidden
-        # key, then drop it.  Empty input still yields ONE row (the
-        # SPARQL §18.5 empty-group result) via _empty_group_row.
-        hidden = "__all"
-
-        def add_key(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                hidden, pa.array(["0"] * t.num_rows, pa.string())
-            )
-
-        out = grouped_aggregate(
-            bindings.map_batches(add_key, batch_format="pyarrow"),
-            [hidden],
-            aggs,
-            having=None,
-            n_buckets=1,
+        return _one_group(
+            bindings, aggs, lambda b, g: grouped_aggregate(b, g, aggs, n_buckets=1)
         )
-        keep = [a[2] for a in aggs]
-        out = out.select_columns(keep).materialize()
-        if out.count() == 0:
-            out = _empty_group_row(aggs, like=out)
-        if having is not None:
-            # applied AFTER the empty-group fill: HAVING filters the
-            # (possibly default) aggregated row, same as the grouped
-            # path's post-reduce mask
-            def hav(df, _h=having):
-                return df[_h(df).astype(bool)] if len(df) else df
 
-            out = out.map_batches(hav, batch_format="pandas")
-        return out
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        if not len(batch):
-            return pd.DataFrame()
-        work = batch[gvars].copy()
-        named = {}
-        for fn, var, alias, *flags in aggs:
-            numeric = "num" in flags
-            if fn == "count":
-                named["c__" + alias] = (gvars[0], "size")
-            elif fn in ("sum", "avg"):
-                work["__num_" + alias] = pd.to_numeric(batch[var], errors="coerce")
-                named["s__" + alias] = ("__num_" + alias, "sum")
-                if fn == "avg":
-                    named["n__" + alias] = ("__num_" + alias, "count")
-            elif fn in ("min", "max", "sample"):
-                work["__v_" + alias] = (
-                    pd.to_numeric(batch[var], errors="coerce") if numeric else batch[var]
-                )
-                prefix = {"min": "m__", "max": "m__", "sample": "w__"}[fn]
-                named[prefix + alias] = ("__v_" + alias, "max" if fn == "max" else "min")
-            elif fn == "group_concat":
-                work["__v_" + alias] = batch[var].astype(str)
-                named["g__" + alias] = (
-                    "__v_" + alias,
-                    lambda s: sep.join(sorted(s)),
-                )
-            else:
-                raise ValueError("unknown aggregate %r" % fn)
-        res = work.groupby(gvars, sort=False).agg(**named).reset_index()
-        return pa.Table.from_pandas(res, preserve_index=False).replace_schema_metadata(None)
-
-    def reduce_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        gb = group.groupby(gvars, sort=False)
-        first = True
-        for fn, _var, alias, *_ in aggs:
-            if fn == "count":
-                s = gb["c__" + alias].sum()
-            elif fn == "sum":
-                s = gb["s__" + alias].sum()
-            elif fn == "avg":
-                s = gb["s__" + alias].sum() / gb["n__" + alias].sum()
-            elif fn in ("min", "sample"):
-                key = ("m__" if fn == "min" else "w__") + alias
-                s = gb[key].min()
-            elif fn == "max":
-                s = gb["m__" + alias].max()
-            else:  # group_concat: merge partials, re-sort tokens, re-join
-                s = gb["g__" + alias].agg(
-                    lambda ss: sep.join(sorted(x for v in ss for x in v.split(sep)))
-                )
-            if first:
-                out = s.reset_index()[gvars]
-                first = False
-            out[alias] = s.to_numpy()
-        if having is not None:
-            out = out[having(out)]
-        return out.reset_index(drop=True)
-
+    partial, reduce_bucket = _aggregate_kernels(gvars, aggs)
     return keyed_exchange(
-        bindings.map_batches(partial, batch_format="pandas"), gvars, reduce_bucket, n_buckets
+        bindings.map_batches(partial, batch_format="pyarrow"), gvars,
+        reduce_bucket, n_buckets, batch_format="pyarrow",
     )
 
 
@@ -884,6 +916,22 @@ def describe(triples_ds, patterns, var, n_buckets: int = 64,
     )
 
 
+def _order_limit_kernels(sort_vars, descending, offset, limit):
+    """``(partial, final)`` of :func:`order_limit` with a LIMIT: stable
+    sorts (nulls last), then the first ``offset + limit`` rows / the
+    ``[offset, offset + limit)`` window."""
+    keys = [(v, "descending" if d else "ascending")
+            for v, d in zip(sort_vars, descending)]
+
+    def partial(batch: pa.Table) -> pa.Table:
+        return batch.sort_by(keys).slice(0, offset + limit)
+
+    def final(batch: pa.Table) -> pa.Table:
+        return batch.sort_by(keys).slice(offset, limit)
+
+    return partial, final
+
+
 def order_limit(bindings, sort_vars, descending=False, limit: int | None = None,
                 offset: int = 0):
     """SPARQL solution modifiers ORDER BY / OFFSET / LIMIT over a
@@ -891,8 +939,6 @@ def order_limit(bindings, sort_vars, descending=False, limit: int | None = None,
     top-(offset+limit) per block — only offset+limit rows leave each
     block — followed by a one-partition exact head; without one it is a
     full distributed sort."""
-    import pandas as pd
-
     sort_vars = list(sort_vars)
     if isinstance(descending, bool):
         descending = [descending] * len(sort_vars)
@@ -902,22 +948,9 @@ def order_limit(bindings, sort_vars, descending=False, limit: int | None = None,
             raise ValueError("OFFSET without LIMIT needs a full sort + skip; "
                              "pass a LIMIT")
         return out
-    keep = offset + limit
-    ascending = [not d for d in descending]
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.sort_values(
-            sort_vars, ascending=ascending, kind="mergesort"
-        ).head(keep)
-
-    def final(batch: pd.DataFrame) -> pd.DataFrame:
-        return (
-            batch.sort_values(sort_vars, ascending=ascending, kind="mergesort")
-            .iloc[offset:keep]
-        )
-
+    partial, final = _order_limit_kernels(sort_vars, descending, offset, limit)
     return (
-        bindings.map_batches(partial, batch_format="pandas")
+        bindings.map_batches(partial, batch_format="pyarrow")
         .repartition(1)
-        .map_batches(final, batch_format="pandas", batch_size=None)
+        .map_batches(final, batch_format="pyarrow", batch_size=None)
     )

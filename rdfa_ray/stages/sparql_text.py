@@ -377,12 +377,9 @@ def _as_num(v):
     t = v.type
     if pa.types.is_floating(t) or pa.types.is_integer(t):
         return pc.cast(v, pa.float64())
-    import pandas as pd
+    from .sparql import to_numeric
 
-    ser = pd.to_numeric(
-        pd.Series(_as_str(v).to_pandas()), errors="coerce"
-    )
-    return pa.array(ser, pa.float64(), from_pandas=True)
+    return pc.cast(to_numeric(_as_str(v)), pa.float64(), safe=False)
 
 
 _DATETIME_LEX_RE = r"^-?\d{4,}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?(Z|[+-]\d\d:\d\d)?$"
@@ -550,8 +547,8 @@ class _FilterCompiler:
     BOUND/COALESCE treat the empty string as unbound (documented
     engine-wide stance), and numeric results surface as float64
     columns.  Everything compiles to pyarrow kernels over whole
-    batches; the only pandas fallbacks (STRBEFORE/STRAFTER and the
-    error-coercing numeric parse) are C-level vectorized."""
+    batches; the only pandas fallback (STRBEFORE/STRAFTER) is C-level
+    vectorized."""
 
     def __init__(self, parser, prefixes, meta_sink=None, agg_sink=None,
                  exists_sink=None):
@@ -2701,7 +2698,9 @@ def _exists_flag_column(b, avail_vars, tds, block, extras, alias,
         return b.map_batches(const_flag, batch_format="pyarrow")
 
     if n_keys <= broadcast_limit:
-        vs = pa.array(keys.to_pandas()["__k"].to_numpy(), pa.string())
+        from .localframe import string_table
+
+        vs = string_table(keys).column("__k").combine_chunks()
 
         def flag(batch: pa.Table) -> pa.Table:
             m = pc.fill_null(pc.is_in(pack(batch), value_set=vs), False)
@@ -3170,137 +3169,76 @@ def _execute_plan(triples_ds, plan: dict, n_buckets: int = 64):
             out = out.limit(plan["limit"])
         return out
 
-    if any(fn.endswith("_distinct") for fn, _v, _a in plan["aggs"]):
-        from .sparql import grouped_aggregate, grouped_distinct_aggregate
+    out_cols = _plan_out_cols(plan)
+    if plan["aggs"]:
+        from .sparql import (
+            filter_bindings,
+            grouped_aggregate,
+            grouped_distinct_aggregate,
+        )
 
+        gvars = plan["group_by"]
         d_aggs = [a for a in plan["aggs"] if a[0].endswith("_distinct")]
         p_aggs = [a for a in plan["aggs"] if not a[0].endswith("_distinct")]
-        gvars = plan["group_by"]
-        if not p_aggs and len(d_aggs) == 1:
-            fnd, dvar, alias = d_aggs[0]
-            b = grouped_distinct_aggregate(
-                b, gvars, dvar, alias,
-                fn=fnd[: -len("_distinct")], n_buckets=n_buckets,
+        if len(d_aggs) + bool(p_aggs) > 1:
+            # several aggregate families read the SAME bindings: each
+            # is one exchange, so materialize them once
+            b = b.materialize()
+        pieces = [grouped_aggregate(b, gvars, p_aggs, n_buckets=n_buckets)] if p_aggs else []
+        for fnd, dvar, alias in d_aggs:
+            pieces.append(
+                grouped_distinct_aggregate(
+                    b, gvars, dvar, alias,
+                    fn=fnd[: -len("_distinct")], n_buckets=n_buckets,
+                )
             )
-        else:
-            # mixed plain + DISTINCT (or several DISTINCT) aggregates:
-            # each family is one exchange over the SAME materialized
-            # bindings; the group-cardinality-sized results then join
-            # on a packed group key (small tables, cheap exchange).
-            # Ungrouped = one global group: the pack key degenerates to
-            # a constant and each piece is a single row.
+        b = pieces[0]
+        if len(pieces) > 1:
+            # the group-cardinality-sized pieces join on a packed group
+            # key (small tables, cheap exchange).  Ungrouped = one
+            # global group: the key is a constant, each piece one row.
             from .join import bucketed_hash_join
 
-            b = b.materialize()
-            pieces = []
-            if p_aggs:
-                pieces.append(
-                    grouped_aggregate(b, gvars, p_aggs, n_buckets=n_buckets)
-                )
-            for fnd, dvar, alias in d_aggs:
-                pieces.append(
-                    grouped_distinct_aggregate(
-                        b, gvars, dvar, alias,
-                        fn=fnd[: -len("_distinct")], n_buckets=n_buckets,
-                    )
-                )
-
-            def _gkey(t: pa.Table, _g):
-                if not _g:
-                    return pa.array([""] * t.num_rows, pa.string())
-                if len(_g) == 1:
-                    return pc.cast(t.column(_g[0]), pa.string())
-                return pc.binary_join_element_wise(
+            def pack(t: pa.Table, keep_keys=False, _g=tuple(gvars)) -> pa.Table:
+                key = pc.binary_join_element_wise(
                     *[pc.cast(t.column(v), pa.string()) for v in _g], "\x1f"
-                )
+                ) if _g else pa.array([""] * t.num_rows, pa.string())
+                t = t if keep_keys else t.drop_columns(list(_g))
+                return t.append_column("__gkey", key)
 
-            def pack_left(t: pa.Table, _g=tuple(gvars)) -> pa.Table:
-                return t.append_column("__gkey", _gkey(t, _g))
-
-            def pack_right(t: pa.Table, _g=tuple(gvars)) -> pa.Table:
-                keep = [c for c in t.column_names if c not in _g]
-                return pa.Table.from_pydict(
-                    {**{c: t.column(c) for c in keep}, "__gkey": _gkey(t, _g)}
-                )
-
-            joined = pieces[0].map_batches(pack_left, batch_format="pyarrow")
+            b = b.map_batches(lambda t: pack(t, True), batch_format="pyarrow")
             for nxt in pieces[1:]:
-                joined = bucketed_hash_join(
-                    joined,
-                    nxt.map_batches(pack_right, batch_format="pyarrow"),
+                b = bucketed_hash_join(
+                    b,
+                    nxt.map_batches(pack, batch_format="pyarrow"),
                     on="__gkey",
                     n_buckets=n_buckets,
                     how="inner",
                 )
-            b = joined
         if plan["having"] is not None:
-            # HAVING over (mixed) DISTINCT aggregates: the grouped
-            # table already carries every aggregate column (hidden
-            # __hav_ ones included) — apply as a post-filter, exactly
-            # what grouped_aggregate does internally for the plain path
-            from .sparql import filter_bindings as _fb
-
-            b = _fb(b, plan["having"])
-        out_cols = [g for g in gvars if not g.startswith("__")] + [
-            a[2] for a in plan["aggs"] if not a[2].startswith("__")
-        ]
-        gc_d = [
-            (a[2], True) for a in d_aggs if a[0] == "group_concat_distinct"
-        ] + [(a[2], False) for a in p_aggs if a[0] == "group_concat"]
-        if gc_d:
-            seps = plan.get("gc_seps") or {}
-
-            def dsep_join(
-                batch: pa.Table,
-                _seps={al: seps.get(al, " ") for al, _ in gc_d},
-            ) -> pa.Table:
-                cols = {c: batch.column(c) for c in batch.column_names}
-                for al, s in _seps.items():
-                    cols[al] = pc.replace_substring(
-                        pc.cast(cols[al], pa.string()), "\x1f", s
-                    )
-                return pa.Table.from_pydict(cols)
-
-            b = b.map_batches(dsep_join, batch_format="pyarrow")
-    elif plan["aggs"]:
-        having = plan["having"]
-        b = grouped_aggregate(
-            b,
-            plan["group_by"],
-            plan["aggs"],
-            having=(
-                (lambda df: having(pa.Table.from_pandas(df)).to_pandas())
-                if having is not None
-                else None
-            ),
-            n_buckets=n_buckets,
-        )
-        out_cols = [
-            g for g in plan["group_by"] if not g.startswith("__")
-        ] + [
-            a[2] for a in plan["aggs"] if not a[2].startswith("__")
-        ]
+            # SPARQL Having: a Filter over the aggregated solutions (the
+            # table carries every aggregate column, hidden __hav_ ones
+            # included)
+            b = filter_bindings(b, plan["having"])
         # engine group_concat joins on \x1f; SPARQL's separator is the
         # per-alias SEPARATOR modifier (default single space)
-        gc_aliases = [a for f, _v, a in plan["aggs"] if f == "group_concat"]
-        if gc_aliases:
-            seps = plan.get("gc_seps") or {}
+        seps = plan.get("gc_seps") or {}
+        gc_seps = {
+            a: seps.get(a, " ")
+            for f, _v, a in plan["aggs"]
+            if f in ("group_concat", "group_concat_distinct")
+        }
+        if gc_seps:
 
-            def sep_join(
-                batch: pa.Table,
-                _als=tuple(gc_aliases),
-                _seps={a: seps.get(a, " ") for a in gc_aliases},
-            ) -> pa.Table:
+            def sep_join(batch: pa.Table, _seps=gc_seps) -> pa.Table:
                 cols = {c: batch.column(c) for c in batch.column_names}
-                for alias in _als:
+                for alias, sep in _seps.items():
                     cols[alias] = pc.replace_substring(
-                        pc.cast(cols[alias], pa.string()), "\x1f", _seps[alias]
+                        pc.cast(cols[alias], pa.string()), "\x1f", sep
                     )
                 return pa.Table.from_pydict(cols)
 
             b = b.map_batches(sep_join, batch_format="pyarrow")
-    else:
-        out_cols = _plan_out_cols(plan)
 
     if plan["aggs"]:
         # trailing VALUES over an aggregate query joins the AGGREGATED
@@ -3322,8 +3260,6 @@ def _execute_plan(triples_ds, plan: dict, n_buckets: int = 64):
                 return v
 
             b = bind_var(b, name, pj_col)
-            if name not in out_cols:
-                out_cols = list(out_cols) + [name]
 
     if plan["distinct"]:
         b = distinct_bindings(b, out_cols, n_buckets=n_buckets)

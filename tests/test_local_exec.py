@@ -7,6 +7,7 @@ import sys
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
@@ -59,10 +60,12 @@ def _split_udf():
     [
         lambda ds: ds.map_batches(_split_udf(), batch_format="pyarrow"),
         lambda ds: ds.map_batches(
-            lambda df: df.assign(n=df["k"].str.len()), batch_format="pandas"
+            lambda t: t.append_column("n", pc.utf8_length(t.column("k"))),
+            batch_format="pyarrow",
         ),
         lambda ds: ds.map_batches(
-            lambda b: {"k": b["k"], "two": b["v"] * 2}, batch_format="default"
+            lambda t: pa.table({"k": t.column("k"), "two": pc.multiply(t.column("v"), 2)}),
+            batch_format="pyarrow",
         ),
         lambda ds: ds.select_columns(["v"]),
         lambda ds: ds.drop_columns(["v"]),
@@ -75,8 +78,8 @@ def _split_udf():
             Max("v"), Mean("v", alias_name="avg"),
         ),
         lambda ds: ds.groupby("k").map_groups(
-            lambda g: pd.DataFrame({"k": [g["k"].iloc[0]], "n": [len(g)]}),
-            batch_format="pandas",
+            lambda g: pa.table({"k": g.column("k").slice(0, 1), "n": [g.num_rows]}),
+            batch_format="pyarrow",
         ),
     ],
 )
@@ -86,6 +89,23 @@ def test_frame_transforms_match_ray(ray_session, call):
     assert _bag(got.to_pandas()) == _bag(want.to_pandas())
     assert got.count() == want.count()
     assert list(got.schema().names) == list(want.schema().names)
+
+
+@pytest.mark.parametrize("fmt", ["pandas", "numpy", "default"])
+def test_frame_transforms_take_pyarrow_only(fmt):
+    frame = ArrowFrame(TABLE)
+    for call in (
+        lambda: frame.map_batches(lambda b: b, batch_format=fmt),
+        lambda: frame.groupby("k").map_groups(lambda b: b, batch_format=fmt),
+        # an empty frame refuses the same way
+        lambda: frame.limit(0).map_batches(lambda b: b, batch_format=fmt),
+    ):
+        with pytest.raises(ValueError, match=r"pyarrow.*from_arrow\(res.to_arrow\(\)\)"):
+            call()
+    with pytest.raises(TypeError, match="pa.Table"):
+        frame.map_batches(lambda t: t.to_pandas(), batch_format="pyarrow")
+    with pytest.raises(TypeError, match="pa.Table"):
+        ArrowFrame(TABLE.to_pandas())
 
 
 def test_class_udf_with_args():
@@ -129,7 +149,8 @@ def test_empty_frames_behave_like_ray(ray_session):
         for f, d in [
             (frame.map_batches(udf, batch_format="pyarrow"),
              ds.map_batches(udf, batch_format="pyarrow")),
-            (frame.groupby("k").map_groups(udf), ds.groupby("k").map_groups(udf)),
+            (frame.groupby("k").map_groups(udf, batch_format="pyarrow"),
+             ds.groupby("k").map_groups(udf, batch_format="pyarrow")),
             (frame.sort("k"), ds.sort("k")),
             # selecting a column an empty input lacks is not an error
             (frame.select_columns(["missing"]), ds.select_columns(["missing"])),
@@ -139,15 +160,15 @@ def test_empty_frames_behave_like_ray(ray_session):
             assert f.take_all() == d.take_all() == []
             assert list(f.iter_batches()) == []
         # no UDF ran, so no output schema exists
-        assert frame.map_batches(udf).schema() is None
-        assert ds.map_batches(udf).schema() is None
+        assert frame.map_batches(udf, batch_format="pyarrow").schema() is None
+        assert ds.map_batches(udf, batch_format="pyarrow").schema() is None
         assert list(frame.to_pandas().columns) == list(ds.to_pandas().columns)
     assert calls == []
-    # a zero-column, zero-row UDF output (a `pd.DataFrame()` partial)
-    # groups to nothing, as Ray's shuffle of no rows does
-    none = ArrowFrame(TABLE).map_batches(lambda df: pd.DataFrame(), batch_format="pandas")
+    # a zero-column, zero-row UDF output groups to nothing, as Ray's
+    # shuffle of no rows does
+    none = ArrowFrame(TABLE).map_batches(lambda t: pa.table({}), batch_format="pyarrow")
     assert none.schema() is None
-    assert none.groupby("__bucket").map_groups(udf).count() == 0
+    assert none.groupby("__bucket").map_groups(udf, batch_format="pyarrow").count() == 0
     assert calls == []
 
 

@@ -633,3 +633,55 @@ def test_random_trailing_values_and_groupby_expr(ray_session, seed):
         [p1],
     ).fetchdf()
     assert _same(got2, want2), q2
+
+
+NUMS = ["3", "10", "-7", "0", "0.5", "2.25", "-1.5", "12"]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_numeric_aggregates(ray_session, seed):
+    """SUM / AVG / MIN / MAX / SAMPLE / GROUP_CONCAT over numeric
+    lexical objects, with HAVING and ORDER BY / LIMIT / OFFSET on the
+    (tie-free) group key, vs DuckDB.  MIN / MAX / SAMPLE compare the
+    lexical forms, as the engine does for untyped bindings."""
+    rng = random.Random(23000 + seed)
+    rows = [
+        (rng.choice(SUBJ), rng.choice(PREDS[:2]), rng.choice(NUMS))
+        for _ in range(rng.randrange(10, 50))
+    ]
+    p = rng.choice(PREDS[:2])
+    cut = rng.choice([-5, 0, 4, 10])
+    desc = rng.random() < 0.5
+    limit, offset = rng.randrange(1, 6), rng.randrange(0, 3)
+
+    q = (
+        "SELECT ?s (SUM(?o) AS ?sum) (AVG(?o) AS ?avg) (MIN(?o) AS ?mn) "
+        "(MAX(?o) AS ?mx) (SAMPLE(?o) AS ?w) "
+        '(GROUP_CONCAT(?o; SEPARATOR=",") AS ?gc) (COUNT(*) AS ?n) '
+        "WHERE { ?s <%s> ?o } GROUP BY ?s HAVING (SUM(?o) > %d) "
+        "ORDER BY %s LIMIT %d OFFSET %d"
+        % (p, cut, "DESC(?s)" if desc else "?s", limit, offset)
+    )
+    got = execute(_ds(rows), q, n_buckets=4).to_pandas()
+    want = _con(rows).execute(
+        "SELECT subj AS s, SUM(CAST(obj_value AS DOUBLE)) AS sum,"
+        " AVG(CAST(obj_value AS DOUBLE)) AS avg, MIN(obj_value) AS mn,"
+        " MAX(obj_value) AS mx, MIN(obj_value) AS w,"
+        " string_agg(obj_value, ',' ORDER BY obj_value) AS gc, COUNT(*) AS n"
+        " FROM t WHERE pred = ? GROUP BY subj"
+        " HAVING SUM(CAST(obj_value AS DOUBLE)) > ?"
+        " ORDER BY subj %s LIMIT %d OFFSET %d"
+        % ("DESC" if desc else "", limit, offset),
+        [p, cut],
+    ).fetchdf()
+    assert len(got) == len(want), q
+    if not len(want):
+        return
+    # ordered: the key is tie-free, so LIMIT / OFFSET pick one row set
+    for col in ("s", "mn", "mx", "w", "gc"):
+        assert got[col].tolist() == want[col].tolist(), (q, col)
+    assert got["n"].astype(int).tolist() == want["n"].astype(int).tolist(), q
+    for col in ("sum", "avg"):
+        assert got[col].astype(float).tolist() == pytest.approx(
+            want[col].astype(float).tolist(), rel=1e-12
+        ), (q, col)

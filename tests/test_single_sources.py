@@ -1,10 +1,12 @@
-"""One exchange primitive, one hashing module (Ray-free).
+"""One exchange primitive, one hashing module, one batch format on the
+query path (Ray-free).
 
 The structural guards read the ``rdfa_ray`` sources with ``ast``: every
 ``.map_groups(`` call and every call of the crc32 bucket kernels
 outside ``functions/`` must be on an allowlist, so a new hand-rolled
 exchange fails here and goes through ``functions/exchange.py``
-instead."""
+instead.  The SPARQL query kernels compute on ``pa.Table`` only: no
+pandas import, ``pd.`` use or pandas batch in their modules."""
 
 import ast
 import pathlib
@@ -86,6 +88,45 @@ def test_no_hand_rolled_bucket_columns():
         if not rel.startswith("functions/")
     }
     assert outside == CRC32_ALLOWED
+
+
+# modules of the query path that compute on pa.Table only
+PANDAS_FREE = ("stages/bgp.py", "stages/sparql.py", "stages/distinct.py",
+               "stages/localframe.py")
+# ... and those that at least never ask Ray for a pandas batch
+PYARROW_BATCHES = PANDAS_FREE + ("stages/closure.py",)
+
+
+def _pandas_uses(rel):
+    """(what, line) for each pandas import, ``pd.`` attribute, pandas
+    batch format, and ``keyed_exchange`` call left at its pandas
+    default batch format in one ``rdfa_ray`` file."""
+    found = []
+    for node in ast.walk(ast.parse((ROOT / rel).read_text())):
+        if isinstance(node, ast.Import):
+            found += [("import pandas", node.lineno) for a in node.names
+                      if a.name.split(".")[0] == "pandas"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pandas":
+            found.append(("from pandas", node.lineno))
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "pd":
+            found.append(("pd.", node.lineno))
+        elif isinstance(node, ast.keyword) and node.arg == "batch_format" and (
+            getattr(node.value, "value", None) == "pandas"
+        ):
+            found.append(("batch_format='pandas'", node.lineno))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "keyed_exchange" and (
+            not any(k.arg == "batch_format" for k in node.keywords)
+        ):
+            found.append(("keyed_exchange default format", node.lineno))
+    return found
+
+
+def test_query_kernels_compute_on_arrow_only():
+    for rel in PANDAS_FREE:
+        assert _pandas_uses(rel) == [], rel
+    for rel in PYARROW_BATCHES:
+        batch_uses = [u for u in _pandas_uses(rel) if u[0] not in ("import pandas", "pd.")]
+        assert batch_uses == [], rel
 
 
 def _old_graph_mix(x):

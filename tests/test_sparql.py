@@ -342,12 +342,9 @@ def test_grouped_aggregate_having_and_lex_minmax(ray_session):
     )
     assert _rows(out, ["l", "n", "first_doc"]) == [("en", 1, "b"), ("zh", 1, "a")]
     # HAVING prunes groups after the reduce
-    pruned = grouped_aggregate(
-        b,
-        ["l"],
-        [("count", None, "n")],
-        having=lambda df: df["n"] > 1,
-        n_buckets=4,
+    pruned = filter_bindings(
+        grouped_aggregate(b, ["l"], [("count", None, "n")], n_buckets=4),
+        lambda t: pc.greater(t.column("n"), 1),
     )
     assert pruned.count() == 0
 
