@@ -21,7 +21,7 @@ variables:
   keys packed into a single composite column (``\\x1f``-joined — the
   same single-key contract every other join in the repo uses);
   a scan small enough to broadcast (``broadcast_limit``) joins
-  map-side instead: one Arrow ``Table.join`` per bindings batch
+  map-side instead: one ``join.join_indices`` per bindings batch
   against the all-string scan table carried in the UDF's closure;
 * the caller orders patterns most-selective-first (constants first),
   exactly the heuristic a SPARQL engine's greedy optimizer applies.
@@ -48,11 +48,10 @@ queries (pyRdfa/__init__.py:630-676 returns a Graph).
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .join import bucketed_hash_join
+from .join import bucketed_hash_join, join_indices
 from .localframe import from_arrow_like, string_table
 
 # zip() truncates to the pattern's own length, so 3-tuples never touch
@@ -191,24 +190,26 @@ def _broadcast_step(scan: pa.Table, shared, bound, p_vars):
     carries the all-string ``scan`` table in its closure (Ray Data
     ships a map operator's UDF once per operator; an in-process frame
     ships nothing) and inner-joins each bindings batch, cast to
-    strings, with it on the ``shared`` variables — zero exchange (the
-    adaptive move a SPARQL engine's optimizer makes for
-    constants-heavy, highly selective patterns).  Rows come out in
-    batch order, then scan order (a nested loop's order); a null cell
-    becomes ``"None"`` and never matches a key, as in the pandas
-    kernel this replaced."""
+    strings, with it on the ``shared`` variables through
+    ``join.join_indices`` — zero exchange (the adaptive move a SPARQL
+    engine's optimizer makes for constants-heavy, highly selective
+    patterns).  Rows come out in batch order, then scan order (a
+    nested loop's order); a null cell becomes ``"None"`` and never
+    matches a key, as in the pandas kernel this replaced."""
     out_vars = bound + [v for v in p_vars if v not in bound]
     as_str = pa.schema([(v, pa.string()) for v in bound])
     scan = pa.table(
         {c: pc.fill_null(scan.column(c), "None") for c in scan.column_names}
-    ).append_column("__r", pa.array(np.arange(scan.num_rows)))
+    )
 
     def merge_batch(batch: pa.Table) -> pa.Table:
         left = batch.select(bound).cast(as_str)
-        left = left.append_column("__l", pa.array(np.arange(left.num_rows)))
-        m = left.join(scan, keys=list(shared), join_type="inner", use_threads=False)
-        m = m.sort_by([("__l", "ascending"), ("__r", "ascending")])
-        return pa.table({v: pc.fill_null(m.column(v), "None") for v in out_vars})
+        li, ri = join_indices(left, scan, shared)
+        return pa.table({
+            v: pc.fill_null(left.column(v).take(li), "None") if v in bound
+            else scan.column(v).take(ri)
+            for v in out_vars
+        })
 
     return merge_batch, out_vars
 

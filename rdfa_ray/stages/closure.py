@@ -16,14 +16,16 @@ joins instead of O(|closure| * depth):
         if frontier is empty: stop
         paths    = paths UNION frontier
 
-Two execution modes per round, chosen by measured frontier size:
+The base edges are deduplicated once at entry (SPARQL ``p+`` has set
+semantics), so every mode returns each pair once.  Two execution
+modes per round, chosen by measured frontier size:
 
 * **Broadcast round** (frontier fits the driver —
   ``broadcast_limit`` pairs): the frontier rides in the map UDF's
-  closure (shipped once per operator) and the step join is a
-  vectorized pandas merge INSIDE ``map_batches`` over the
+  closure (shipped once per operator) and the step join is
+  ``join.join_indices`` INSIDE ``map_batches`` over the
   (arbitrarily large) edge set — no exchange.  The known-pair
-  check is likewise a broadcast-set membership scan over ``paths``
+  check is likewise a broadcast ``pc.is_in`` scan over ``paths``
   that returns only the (small) matched keys; ``paths`` itself NEVER
   moves.  Per-round cost: one read pass over edges + one over paths,
   zero all-to-all.  This is the common case for hierarchy/ontology
@@ -41,6 +43,11 @@ Two execution modes per round, chosen by measured frontier size:
 Cycle safety: a pair enters ``paths`` exactly once (anti-join /
 known-set check), so cycles saturate and the frontier empties.
 
+An edge set of at most ``local_limit`` rows runs the same rounds over
+an in-process ``localframe.ArrowFrame``: no Ray round-trips, which
+cost ~1.5 s of orchestration PER ROUND for microseconds of work
+(measured on the 500-doc category tree: 8.7 s -> <1 s).
+
 The per-round ``materialize()`` on the shuffle path is REQUIRED, not
 convenience: ``paths`` and ``frontier`` are each consumed by multiple
 later rounds and Ray re-executes dataset lineage per consumer.
@@ -48,12 +55,13 @@ later rounds and Ray re-executes dataset lineage per consumer.
 
 from __future__ import annotations
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .distinct import group_in_order
-from .join import bucketed_hash_join
+from .distinct import distinct, group_in_order
+from .join import bucketed_hash_join, join_indices
+from .localframe import ArrowFrame, blocks, from_arrow_like
+
 
 def _pair_schema(kt: pa.DataType) -> pa.Schema:
     return pa.schema([("src", kt), ("dst", kt)])
@@ -71,51 +79,42 @@ def _pack_kk(tbl: pa.Table) -> pa.ChunkedArray:
     )
 
 
-def _broadcast_round(edges, paths, frontier_df: pd.DataFrame, kt: pa.DataType):
+def _table(ds, schema: pa.Schema) -> pa.Table:
+    """All rows of ``ds`` (a frame or a Dataset) as one table of
+    ``schema``, typed even when empty."""
+    full = [b.select(schema.names).cast(schema) for b in blocks(ds) if b.num_rows]
+    return pa.concat_tables(full) if full else schema.empty_table()
+
+
+def _broadcast_round(edges, paths, frontier: pa.Table, kt: pa.DataType) -> pa.Table:
     """One semi-naive round with the frontier broadcast.  Returns the
-    new-pairs DataFrame (deduped, unknown pairs only)."""
+    new pairs (deduped, unknown pairs only)."""
     schema = _pair_schema(kt)
-    empty = schema.empty_table()
-    fr = frontier_df[["src", "dst"]]
+    fr = frontier.rename_columns(["src", "k"])
 
     def step_batch(batch: pa.Table) -> pa.Table:
-        eb = batch.to_pandas()
-        m = fr.merge(eb, left_on="dst", right_on="src", suffixes=("_f", "_e"))
-        if not len(m):
-            return empty
-        out = m[["src_f", "dst_e"]].drop_duplicates()
-        return pa.Table.from_arrays(
-            [
-                pa.array(out["src_f"].to_numpy(), kt),
-                pa.array(out["dst_e"].to_numpy(), kt),
-            ],
-            schema=schema,
-        )
+        e = batch.select(["src", "dst"]).rename_columns(["k", "dst"])
+        li, ri = join_indices(fr, e, ["k"])
+        return group_in_order(pa.Table.from_arrays(
+            [fr.column("src").take(li), e.column("dst").take(ri)], schema=schema
+        ), ["src", "dst"])
 
-    step = (
-        edges.map_batches(step_batch, batch_format="pyarrow")
-        .to_pandas()
-        .drop_duplicates(["src", "dst"])
+    step = group_in_order(
+        _table(edges.map_batches(step_batch, batch_format="pyarrow"), schema),
+        ["src", "dst"],
     )
-    if not len(step):
+    if not step.num_rows:
         return step
-    step_keys = (
-        step["src"].astype(str) + "\x1f" + step["dst"].astype(str)
-    ).to_numpy()
-    ks = frozenset(step_keys.tolist())
+    step_kk = _pack_kk(step).combine_chunks()
 
     def known_batch(batch: pa.Table) -> pa.Table:
         kk = _pack_kk(batch)
-        hit = [v for v in kk.to_pylist() if v in ks]
-        if not hit:
-            return _EMPTY_KK
-        return pa.Table.from_pydict({"kk": pa.array(hit, pa.string())})
+        return pa.table({"kk": kk.filter(pc.is_in(kk, value_set=step_kk))})
 
-    known_df = paths.map_batches(known_batch, batch_format="pyarrow").to_pandas()
-    # an all-empty result can come back as a 0-column frame
-    known = set(known_df["kk"].tolist()) if "kk" in known_df.columns else set()
-    mask = [k not in known for k in step_keys]
-    return step[mask]
+    known = _table(
+        paths.map_batches(known_batch, batch_format="pyarrow"), _EMPTY_KK.schema
+    ).column("kk").combine_chunks()
+    return step.filter(pc.invert(pc.is_in(step_kk, value_set=known)))
 
 
 def _shuffle_round(edges, paths, frontier, n_buckets: int, kt: pa.DataType):
@@ -189,34 +188,6 @@ def _shuffle_round(edges, paths, frontier, n_buckets: int, kt: pa.DataType):
     )
 
 
-def _local_closure(edges_df: pd.DataFrame, max_rounds: int) -> pd.DataFrame:
-    """Driver-side semi-naive closure for edge sets that fit in one
-    task's heap: the identical algorithm with pandas merges, no Ray
-    round-trips.  Spinning distributed supersteps over a few thousand
-    rows pays ~1.5 s of orchestration PER ROUND for microseconds of
-    work (measured on the 500-doc category tree: 8.7 s -> <1 s)."""
-    edges = edges_df.drop_duplicates(["src", "dst"])
-    paths = edges
-    known = set(zip(edges["src"], edges["dst"]))
-    frontier = edges
-    for _ in range(max_rounds):
-        step = frontier.merge(
-            edges, left_on="dst", right_on="src", suffixes=("_f", "_e")
-        )[["src_f", "dst_e"]].drop_duplicates()
-        step.columns = ["src", "dst"]
-        mask = [p not in known for p in zip(step["src"], step["dst"])]
-        new = step[mask]
-        if not len(new):
-            return paths
-        known.update(zip(new["src"], new["dst"]))
-        paths = pd.concat([paths, new], ignore_index=True)
-        frontier = new
-    raise RuntimeError(
-        "transitive_closure did not converge in %d rounds (path depth "
-        "exceeds the bound — raise max_rounds)" % max_rounds
-    )
-
-
 def transitive_closure(
     edges_ds,
     n_buckets: int = 32,
@@ -231,68 +202,47 @@ def transitive_closure(
     (the closure INCLUDES the base edges).
 
     Adaptive execution, smallest to largest:
-    * edge set <= ``local_limit`` rows: ONE driver-side pass
-      (``_local_closure``) — the whole-graph analogue of a broadcast
-      join's small side, chosen by the measured row count like an
-      adaptive query engine picks a broadcast join.
-    * frontier <= ``broadcast_limit``: distributed zero-shuffle
-      broadcast rounds (edges/paths stream, frontier broadcasts).
+    * edge set <= ``local_limit`` rows: every round in-process over an
+      ``ArrowFrame`` — the whole-graph analogue of a broadcast join's
+      small side, chosen by the measured row count like an adaptive
+      query engine picks a broadcast join;
+    * frontier <= ``broadcast_limit``: zero-shuffle broadcast rounds
+      (edges/paths stream, frontier broadcasts);
     * otherwise: general bucketed-exchange rounds.
+    The result is a frame when ``edges_ds`` is one, else a Dataset.
     ``max_rounds`` is a runaway bound (covers path depth 64); hitting
     it raises rather than silently truncating.
     """
-    from .localframe import from_arrow_like
-
     kt = key_type
+    schema = _pair_schema(kt)
     edges = edges_ds.materialize()
     n_edges = edges.count()
-    if n_edges == 0:
-        # to_pandas() on an empty Dataset loses the schema (0-column
-        # frame); return the typed empty closure directly
-        return from_arrow_like(edges, _pair_schema(kt).empty_table())
     if n_edges <= local_limit:
-        out = _local_closure(edges.to_pandas(), max_rounds)
-        return from_arrow_like(
-            edges,
-            pa.Table.from_arrays(
-                [
-                    pa.array(out["src"].to_numpy(), kt),
-                    pa.array(out["dst"].to_numpy(), kt),
-                ],
-                schema=_pair_schema(kt),
-            )
-        )
+        # the edge set fits one process: every round runs in-process
+        edges = ArrowFrame(group_in_order(_table(edges, schema), ["src", "dst"]))
+    else:
+        # SPARQL p+ has set semantics: a repeated base edge is one path
+        edges = distinct(edges, ["src", "dst"], n_buckets).materialize()
     paths = edges
-    # frontier is EITHER a small driver DataFrame or a Dataset
-    frontier_df: pd.DataFrame | None = None
-    frontier = edges
+    # the frontier is a small table (broadcast rounds) or a Dataset
+    frontier, frontier_t = edges, None
     frontier_rows = edges.count()
 
     for _ in range(max_rounds):
         if frontier_rows <= broadcast_limit:
-            if frontier_df is None:
-                frontier_df = frontier.to_pandas()
-            new_df = _broadcast_round(edges, paths, frontier_df, kt)
-            if not len(new_df):
-                return paths
-            new = from_arrow_like(
-                edges,
-                pa.Table.from_arrays(
-                    [
-                        pa.array(new_df["src"].to_numpy(), kt),
-                        pa.array(new_df["dst"].to_numpy(), kt),
-                    ],
-                    schema=_pair_schema(kt),
-                )
-            )
-            frontier_df = new_df
-            frontier_rows = len(new_df)
+            if frontier_t is None:
+                frontier_t = _table(frontier, schema)
+            frontier_t = _broadcast_round(edges, paths, frontier_t, kt)
+            frontier_rows = frontier_t.num_rows
+            new = from_arrow_like(edges, frontier_t)
         else:
             new = _shuffle_round(edges, paths, frontier, n_buckets, kt)
             frontier_rows = new.count()
-            if frontier_rows == 0:
-                return paths
-            frontier_df = None
+            frontier_t = None
+        if frontier_rows == 0:
+            if isinstance(paths, ArrowFrame):
+                return from_arrow_like(edges_ds, _table(paths, schema))
+            return paths
         paths = paths.union(new).materialize()
         frontier = new
     raise RuntimeError(

@@ -8,8 +8,9 @@ implements exactly the ``Dataset`` methods that ``sparql_text``,
 ``sparql``, ``bgp``, ``closure``, ``join`` and ``distinct`` call, each
 eagerly and each UDF once over the whole block.  No operator exists
 twice — scans, joins, aggregates and filters are the same batch
-functions Ray would run; the frame only replaces the executor.  The
-one exception is ``groupby().aggregate()``, which maps Ray's
+functions Ray would run; the frame only replaces the executor (and
+``closure`` runs a small edge set's rounds on one, whatever the
+input).  The one exception is ``groupby().aggregate()``, which maps Ray's
 ``Count``/``Sum``/``Min``/``Max``/``Mean`` onto Arrow ``group_by``.
 The finished frame is the query's answer: it shares ``CONSUMER_CALLS``
 with a Dataset (its ``schema()`` is a ``pyarrow.Schema``) and adds
@@ -316,17 +317,22 @@ def from_arrow_like(like, table: pa.Table):
     return rd.from_arrow(table)
 
 
+def blocks(ds) -> list:
+    """Every block of ``ds`` (a frame or a Ray Dataset) as a
+    ``pa.Table``, zero-row blocks included."""
+    if isinstance(ds, ArrowFrame):
+        return [ds.to_arrow()]
+    import ray
+
+    return ray.get(ds.to_arrow_refs())
+
+
 def string_table(ds) -> pa.Table:
     """All of ``ds`` (a frame or a Ray Dataset) as one ``pa.Table``
     whose columns are all ``pa.string()``, nulls kept: what a broadcast
     side carries into a map UDF's closure."""
-    if isinstance(ds, ArrowFrame):
-        blocks = [ds.to_arrow()]
-    else:
-        import ray
-
-        blocks = ray.get(ds.to_arrow_refs())
-    full = [b for b in blocks if b.num_rows] or [b for b in blocks if b.num_columns][:1]
+    got = blocks(ds)
+    full = [b for b in got if b.num_rows] or [b for b in got if b.num_columns][:1]
     if not full:
         return pa.table({})
     schema = pa.schema([(c, pa.string()) for c in full[0].column_names])

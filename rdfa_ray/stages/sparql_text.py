@@ -370,10 +370,8 @@ def _as_num(v):
     non-numeric strings become null (the row fails FILTER comparisons
     and BINDs to unbound) instead of poisoning the whole batch."""
     if isinstance(v, pa.Scalar):
-        try:
-            return pa.scalar(float(v.as_py()), pa.float64())
-        except (TypeError, ValueError):
-            return pa.scalar(None, pa.float64())
+        # a folded constant reads as a one-row column: one numeric rule
+        return _as_num(pa.array([v.as_py()], v.type))[0]
     t = v.type
     if pa.types.is_floating(t) or pa.types.is_integer(t):
         return pc.cast(v, pa.float64())
@@ -492,38 +490,42 @@ def _row_entropy(t: pa.Table, salt: int) -> "np.ndarray":
     return s.hash(seed=salt).to_numpy().astype(np.uint64)
 
 
-def _scalar_series(v, sub_fn, default=""):
-    """Apply a per-row string->string pandas kernel ``sub_fn`` to an
-    operand; scalars stay scalar (pure fold)."""
-    import pandas as pd
+def _string_kernel(v, fn):
+    """``fn`` over an operand as a null-free string array (a null reads
+    ``""``); a scalar runs as a one-element array and stays a scalar
+    (pure fold)."""
+    s = _as_str(v)
+    if isinstance(s, pa.Scalar):
+        return fn(pa.array([s.as_py() or ""], pa.string()))[0]
+    return fn(pc.fill_null(s, ""))
 
-    if isinstance(v, pa.Scalar):
-        out = sub_fn(pd.Series([v.as_py() or ""]))
-        return pa.scalar(out.iloc[0], pa.string())
-    ser = pd.Series(_as_str(v).to_pandas()).fillna(default)
-    return pa.array(sub_fn(ser), pa.string(), from_pandas=True)
+
+def _split_once(s, sep):
+    """``(before, after)`` of each string around its first ``sep``;
+    ``after`` is null where ``sep`` does not occur (pandas'
+    ``str.split(sep, n=1)``)."""
+    parts = pc.split_pattern(s, sep, max_splits=1)
+    after = pc.list_slice(parts, 1, 2, return_fixed_size_list=True)
+    return pc.list_element(parts, 0), pc.list_element(after, 0)
 
 
 def _str_before(v, sub):
-    def k(ser):
+    def k(s):
         if sub == "":
-            return ser.str.slice(0, 0)
-        has = ser.str.contains(sub, regex=False)
-        return ser.str.split(sub, n=1, regex=False).str[0].where(has, "")
+            return pc.utf8_slice_codeunits(s, 0, 0)
+        before, after = _split_once(s, sub)
+        return pc.if_else(pc.is_null(after), "", before)
 
-    return _scalar_series(v, k)
+    return _string_kernel(v, k)
 
 
 def _str_after(v, sub):
-    def k(ser):
+    def k(s):
         if sub == "":
-            return ser
-        has = ser.str.contains(sub, regex=False)
-        return (
-            ser.str.split(sub, n=1, regex=False).str[1].fillna("").where(has, "")
-        )
+            return s
+        return pc.fill_null(_split_once(s, sub)[1], "")
 
-    return _scalar_series(v, k)
+    return _string_kernel(v, k)
 
 
 class _FilterCompiler:
@@ -547,8 +549,7 @@ class _FilterCompiler:
     BOUND/COALESCE treat the empty string as unbound (documented
     engine-wide stance), and numeric results surface as float64
     columns.  Everything compiles to pyarrow kernels over whole
-    batches; the only pandas fallback (STRBEFORE/STRAFTER) is C-level
-    vectorized."""
+    batches."""
 
     def __init__(self, parser, prefixes, meta_sink=None, agg_sink=None,
                  exists_sink=None):
@@ -1057,7 +1058,7 @@ class _FilterCompiler:
                      "ENCODE_FOR_URI"):
                 # SPARQL 1.1 hash / URI-escape functions.  Per-row
                 # Python, but only over each batch's UNIQUE values
-                # (factorize + lut) — the same Zipf lever as SimHasher.
+                # (unique + index_in) — the same Zipf lever as SimHasher.
                 self.p.next()
                 ((_k, f),) = self._args(1)
 
@@ -1065,15 +1066,6 @@ class _FilterCompiler:
                     import hashlib as _hl
                     import urllib.parse as _up
 
-                    import numpy as np
-                    import pandas as pd
-
-                    v = _f(t)
-                    if isinstance(v, pa.Scalar):
-                        vals = pd.Series([v.as_py() or ""])
-                    else:
-                        vals = pd.Series(_as_str(v).to_pandas()).fillna("")
-                    codes, uniq = pd.factorize(vals, sort=False)
                     if _u == "ENCODE_FOR_URI":
                         fn = lambda s: _up.quote(s, safe="")  # noqa: E731
                     else:
@@ -1082,11 +1074,13 @@ class _FilterCompiler:
                                 "SHA384": _hl.sha384,
                                 "SHA512": _hl.sha512}[_u]
                         fn = lambda s: algo(s.encode()).hexdigest()  # noqa: E731
-                    lut = np.array([fn(s) for s in uniq], dtype=object)
-                    out = pa.array(lut[codes], pa.string())
-                    if isinstance(v, pa.Scalar):
-                        return pa.scalar(out[0].as_py(), pa.string())
-                    return out
+
+                    def lut(s):
+                        uniq = pc.unique(s)
+                        out = pa.array([fn(x) for x in uniq.to_pylist()], pa.string())
+                        return out.take(pc.index_in(s, value_set=uniq))
+
+                    return _string_kernel(_f(t), lut)
 
                 return "str", rowfn
             if u in ("YEAR", "MONTH", "DAY", "HOURS", "MINUTES"):
@@ -3492,30 +3486,20 @@ def _graph_var_path_bindings(triples_ds, pt, n_buckets):
     pvars = [gvar] + [t[1:] for t in (subj, obj) if t.startswith("?")]
 
     def xf(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        src = pd.Series(pc.cast(batch.column("src"), pa.string()).to_pandas())
-        dst = pd.Series(pc.cast(batch.column("dst"), pa.string()).to_pandas())
-        sp = src.str.split(SEP, n=1, expand=True)
-        dp = dst.str.split(SEP, n=1, expand=True)
-        if len(sp.columns) < 2:  # empty block
-            return pa.Table.from_pydict(
-                {v: pa.array([], pa.string()) for v in pvars}
-            )
-        g, s_node, d_node = sp[0], sp[1], dp[1]
-        mask = pd.Series(True, index=g.index)
-        if not subj.startswith("?"):
-            mask &= s_node == subj
-        if not obj.startswith("?"):
-            mask &= d_node == obj
-        cols = {gvar: g[mask]}
+        g, s_node = _split_once(pc.cast(batch.column("src"), pa.string()), SEP)
+        d_node = _split_once(pc.cast(batch.column("dst"), pa.string()), SEP)[1]
+        mask = None
+        for node, term in ((s_node, subj), (d_node, obj)):
+            if not term.startswith("?"):
+                m = pc.equal(node, term)
+                mask = m if mask is None else pc.and_(mask, m)
+        cols = {gvar: g}
         if subj.startswith("?"):
-            cols[subj[1:]] = s_node[mask]
+            cols[subj[1:]] = s_node
         if obj.startswith("?"):
-            cols[obj[1:]] = d_node[mask]
-        return pa.Table.from_pydict(
-            {k: pa.array(v.to_numpy(), pa.string()) for k, v in cols.items()}
-        )
+            cols[obj[1:]] = d_node
+        out = pa.table(cols)
+        return out if mask is None else out.filter(mask)
 
     return edges.map_batches(xf, batch_format="pyarrow"), pvars
 

@@ -10,19 +10,35 @@ Arabic-Indic digits, integers past int64, overflow), null cells, NaN,
 ties and groups that hold no number, and must agree on values and
 Arrow types, row order included.
 
-One declared difference: float SUM and AVG results are compared to a
-relative 1e-12, because pandas sums each group with Kahan compensation
-and Arrow does not; the seeded decimals ("0.1", "0.2", ...) make that
-difference real rather than hypothetical."""
+Declared differences:
+
+* float SUM and AVG results are compared to a relative 1e-12, because
+  pandas sums each group with Kahan compensation and Arrow does not;
+  the seeded decimals ("0.1", "0.2", ...) make that difference real
+  rather than hypothetical;
+* the bucketed join's outer rows are compared as a multiset (pandas
+  sorts outer keys);
+* its inner rows are compared as a multiset when the join has exactly
+  as many rows as its left side: pandas 2.2's ``libjoin.inner_join``
+  then takes a shortcut that assumes one match per left row and
+  scrambles the (left row, right row) order when some rows match
+  twice and others never;
+* integer null keys under semi/anti: the masked ``Int64`` ``isin`` of
+  the pandas kernel never matched a null, while its merges (and its
+  string ``isin``) did; the Arrow kernel matches null with null in
+  every mode."""
 
 import math
 import random
+from unittest import mock
 
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
+from rdfa_ray.functions.exchange import co_group
+from rdfa_ray.stages import join as join_mod
 from rdfa_ray.stages.bgp import _broadcast_step
 from rdfa_ray.stages.distinct import _distinct_kernel
 from rdfa_ray.stages.localframe import ArrowFrame, string_table
@@ -184,6 +200,69 @@ def ref_bucket_distinct(cols, extra):
         return group.drop_duplicates(cols)[out_cols]
 
     return bucket_distinct
+
+
+def ref_join_kernel(on, how, suffix, left_distinct, left_schema, right_schema):
+    left_cols = list(left_schema.names)
+    rename = {
+        c: (c + suffix if c in left_cols and c != on else c)
+        for c in right_schema.names
+    }
+    right_cols = [rename[c] for c in right_schema.names if c != on]
+    out_cols = left_cols if how in ("semi", "anti") else left_cols + right_cols
+
+    def _int_preserving_df(t: pa.Table) -> pd.DataFrame:
+        # Arrow -> pandas decays int columns containing nulls (an outer
+        # merge's padding) to float64, silently corrupting values above
+        # 2^53 (e.g. packed/hashed 63-bit ids); masked integer dtypes
+        # keep every bit exact through the merge
+        def mapper(t):
+            if pa.types.is_int64(t):
+                return pd.Int64Dtype()
+            if pa.types.is_int32(t):
+                return pd.Int32Dtype()
+            if pa.types.is_int16(t):
+                return pd.Int16Dtype()
+            if pa.types.is_int8(t):
+                return pd.Int8Dtype()
+            if pa.types.is_uint64(t):
+                return pd.UInt64Dtype()
+            if pa.types.is_uint32(t):
+                return pd.UInt32Dtype()
+            return None
+
+        return t.to_pandas(types_mapper=mapper)
+
+    def join_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        rt = rt.rename_columns([rename[c] for c in rt.column_names])
+        fields = {f.name: f for f in (*rt.schema, *lt.schema)}
+        out_schema = pa.schema([fields[c] for c in out_cols])
+        nl, nr = lt.num_rows, rt.num_rows
+        # mode-aware early-out: empty only when the preserved side(s)
+        # cannot produce a row
+        if (
+            (how in ("inner", "semi") and (nl == 0 or nr == 0))
+            or (how in ("left", "anti") and nl == 0)
+            or (how == "right" and nr == 0)
+        ):
+            return out_schema.empty_table()
+        l, r = _int_preserving_df(lt), _int_preserving_df(rt)
+        if left_distinct:
+            l = l.sort_values(left_cols, kind="mergesort").drop_duplicates(
+                left_distinct
+            )
+        if how in ("semi", "anti"):
+            mask = l[on].isin(r[on].unique())
+            merged = l[mask] if how == "semi" else l[~mask]
+        else:
+            merged = l.merge(r, on=on, how=how)
+        # strip the b'pandas' schema metadata: blocks must be
+        # byte-identical in schema to the metadata-less empty table
+        return pa.Table.from_pandas(
+            merged[out_cols], schema=out_schema, preserve_index=False
+        ).replace_schema_metadata(None)
+
+    return join_bucket
 
 
 # ---------------------------------------------------------------------------
@@ -477,3 +556,136 @@ def test_merge_kernel(seed, bound, p_vars):
     none = pa.table({v: ["None"] * 2 for v in bound})
     _same(got(none), ref_merge_kernel(
         scan.to_pandas().astype(str), shared, bound, p_vars)(none))
+
+
+# ---------------------------------------------------------------------------
+# the bucketed join's per-bucket kernel
+
+HOWS = ["inner", "left", "right", "outer", "semi", "anti"]
+BIG = 2**60 + 1  # not exact as a float64
+
+
+def _join_case(case, seed):
+    """``(left, right, kwargs)`` for one bucket: key ``k``, payload ``v``
+    on both sides (a suffix collision) plus ``w`` on the left."""
+    rng = random.Random(seed)
+    n_left, n_right = rng.randrange(1, 12), rng.randrange(1, 12)
+    if case == "empty_left":
+        n_left = 0
+    elif case == "empty_right":
+        n_right = 0
+    elif case == "both_empty":
+        n_left = n_right = 0
+    if case in ("int_nulls_both", "bigint"):
+        kt, pool = pa.int64(), [1, 2, 3, BIG]
+    else:
+        kt, pool = pa.string(), ["a", "b", "c", "é"]
+    l_pool = pool + [None] if case in ("nulls_left", "nulls_both", "int_nulls_both") else pool
+    r_pool = pool + [None] if case in ("nulls_both", "int_nulls_both") else pool
+    vt = pa.int64() if case == "bigint" else pa.string()
+
+    def keys(pool, n):
+        # a side that may hold null keys holds at least one
+        planted = [None] if n and None in pool else []
+        return pa.array(planted + [rng.choice(pool) for _ in range(n - len(planted))], kt)
+
+    def value(i):
+        return BIG + i if case == "bigint" else rng.choice(["x", "y", None])
+
+    left = pa.table({
+        "k": keys(l_pool, n_left),
+        "v": pa.array([value(i) for i in range(n_left)], vt),
+        "w": pa.array([rng.choice(["p", "q"]) for _ in range(n_left)], pa.string()),
+    })
+    right = pa.table({
+        "k": keys(r_pool, n_right),
+        "v": pa.array([value(-i) for i in range(n_right)], vt),
+    })
+    kwargs = {"left_distinct": ["k", "v"]} if case == "left_distinct" else {}
+    return left, right, kwargs
+
+
+def _new_join_kernel(how, left_schema, right_schema, **kwargs):
+    """The per-bucket kernel ``bucketed_hash_join`` hands ``co_group``."""
+    with mock.patch.object(join_mod, "co_group", lambda _l, _r, _on, fn, *_a, **_k: fn):
+        return join_mod.bucketed_hash_join(
+            None, None, "k", how=how, left_schema=left_schema,
+            right_schema=right_schema, **kwargs,
+        )
+
+
+def _rows(t: pa.Table) -> list:
+    return list(zip(*(t.column(c).to_pylist() for c in t.column_names)))
+
+
+def _same_join(got: pa.Table, want: pa.Table, ordered: bool):
+    assert got.schema == want.schema
+    if ordered:
+        assert _rows(got) == _rows(want)
+    else:
+        assert sorted(_rows(got), key=repr) == sorted(_rows(want), key=repr)
+
+
+JOIN_CASES = ["nulls_left", "nulls_both", "int_nulls_both", "bigint", "left_distinct",
+              "empty_left", "empty_right", "both_empty"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", JOIN_CASES)
+@pytest.mark.parametrize("how", HOWS)
+def test_join_kernel(how, case, seed):
+    left, right, kwargs = _join_case(case, seed)
+    got = _new_join_kernel(how, left.schema, right.schema, suffix="__r", **kwargs)(left, right)
+    if case == "int_nulls_both" and how in ("semi", "anti"):
+        # declared: a null key matches a null key here too
+        assert right.column("k").null_count > 0
+        found = set(right.column("k").to_pylist())
+        keep = [(k in found) == (how == "semi") for k in left.column("k").to_pylist()]
+        assert _rows(got) == [r for r, m in zip(_rows(left), keep) if m]
+        return
+    want = ref_join_kernel("k", how, "__r", kwargs.get("left_distinct"),
+                           left.schema, right.schema)(left, right)
+    shortcut = how == "inner" and want.num_rows == left.num_rows
+    _same_join(got, want, ordered=how != "outer" and not shortcut)
+    if how not in ("semi", "anti"):
+        assert got.column_names == ["k", "v", "w", "v__r"]
+
+
+@pytest.mark.parametrize("how", HOWS)
+def test_join_kernel_list_payloads(how):
+    # pyarrow's join rejects list payloads; the kernel only joins keys
+    left = pa.table({"k": ["a", "b", None], "v": pa.array([[1], [2, 3], []], pa.list_(pa.int64()))})
+    right = pa.table({"k": ["b", "b", "c", None],
+                      "v": pa.array([[BIG], None, [5], [6]], pa.list_(pa.int64()))})
+    got = _new_join_kernel(how, left.schema, right.schema)(left, right)
+    a, b, null = ("a", [1]), ("b", [2, 3]), (None, [])
+    want = {
+        "inner": [b + ([BIG],), b + (None,), null + ([6],)],
+        "left": [a + (None,), b + ([BIG],), b + (None,), null + ([6],)],
+        "right": [b + ([BIG],), b + (None,), ("c", None, [5]), null + ([6],)],
+        "outer": [a + (None,), b + ([BIG],), b + (None,), null + ([6],), ("c", None, [5])],
+        "semi": [b, null],
+        "anti": [a],
+    }[how]
+    assert _rows(got) == want
+    assert got.schema.field("v").type == pa.list_(pa.int64())
+
+
+@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+def test_join_salted_buckets(how):
+    # salt > 1 spreads each key's left rows over sub-buckets that each
+    # see all of its right rows; both kernels run under one co_group
+    left, right, _ = _join_case("nulls_both", 7)
+    left, right = pa.concat_tables([left] * 4), pa.concat_tables([right] * 2)
+    schemas = {"left_schema": left.schema, "right_schema": right.schema}
+    got = join_mod.bucketed_hash_join(
+        ArrowFrame(left), ArrowFrame(right), "k", n_buckets=2, how=how, salt=3, **schemas
+    ).to_arrow()
+    ref = ref_join_kernel("k", how, "_r", None, left.schema, right.schema)
+    want = co_group(ArrowFrame(left), ArrowFrame(right), "k", ref, 2, salt=3, **schemas).to_arrow()
+    # the inner shortcut may hit any sub-bucket
+    _same_join(got, want, ordered=how != "inner")
+    unsalted = join_mod.bucketed_hash_join(
+        ArrowFrame(left), ArrowFrame(right), "k", n_buckets=2, how=how, **schemas
+    ).to_arrow()
+    _same_join(got, unsalted, ordered=False)

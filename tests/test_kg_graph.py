@@ -127,6 +127,15 @@ def test_closure_cycle_and_diamond(ray_session, mode):
     assert got == cyc | dia
 
 
+@pytest.mark.parametrize("mode", _MODES)
+def test_closure_repeated_edge_is_one_path(ray_session, mode):
+    # p+ has set semantics on every executor: sorted lists, not sets,
+    # so a duplicated pair shows
+    out = transitive_closure(_edges([(0, 1), (0, 1), (1, 2)]), n_buckets=4, **mode)
+    got = sorted(map(tuple, out.to_pandas().to_records(index=False).tolist()))
+    assert got == [(0, 1), (0, 2), (1, 2)]
+
+
 def _dense_pagerank(edges, n_iters, damping):
     nodes = sorted({v for e in edges for v in e})
     idx = {v: i for i, v in enumerate(nodes)}

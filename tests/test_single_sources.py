@@ -6,7 +6,9 @@ The structural guards read the ``rdfa_ray`` sources with ``ast``: every
 outside ``functions/`` must be on an allowlist, so a new hand-rolled
 exchange fails here and goes through ``functions/exchange.py``
 instead.  The SPARQL query kernels compute on ``pa.Table`` only: no
-pandas import, ``pd.`` use or pandas batch in their modules."""
+pandas import, ``pd.`` use or pandas batch in their modules, and every
+Arrow ``Table.join`` is on an allowlist (the join kernels share
+``stages/join.join_indices``)."""
 
 import ast
 import pathlib
@@ -53,9 +55,10 @@ CRC32_ALLOWED = {
 }
 
 
-def _calls(names):
+def _calls(names, where=lambda call: True):
     """(file, dotted enclosing def, called name) for every call of one
-    of ``names`` (as a function or a method) under ``rdfa_ray/``."""
+    of ``names`` (as a function or a method) under ``rdfa_ray/`` for
+    which ``where(call node)`` holds."""
     found = []
     for path in sorted(ROOT.rglob("*.py")):
         rel = path.relative_to(ROOT).as_posix()
@@ -68,7 +71,7 @@ def _calls(names):
                 if isinstance(child, ast.Call):
                     f = child.func
                     name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-                    if name in names:
+                    if name in names and where(child):
                         found.append((rel, ".".join(stack), name))
                 walk(child, stack)
 
@@ -92,9 +95,8 @@ def test_no_hand_rolled_bucket_columns():
 
 # modules of the query path that compute on pa.Table only
 PANDAS_FREE = ("stages/bgp.py", "stages/sparql.py", "stages/distinct.py",
-               "stages/localframe.py")
-# ... and those that at least never ask Ray for a pandas batch
-PYARROW_BATCHES = PANDAS_FREE + ("stages/closure.py",)
+               "stages/localframe.py", "stages/join.py", "stages/closure.py",
+               "stages/sparql_text.py")
 
 
 def _pandas_uses(rel):
@@ -124,9 +126,30 @@ def _pandas_uses(rel):
 def test_query_kernels_compute_on_arrow_only():
     for rel in PANDAS_FREE:
         assert _pandas_uses(rel) == [], rel
-    for rel in PYARROW_BATCHES:
-        batch_uses = [u for u in _pandas_uses(rel) if u[0] not in ("import pandas", "pd.")]
-        assert batch_uses == [], rel
+
+
+# Table.join's keywords; str.join takes one argument and none of these,
+# and os.path.join is told apart by its receiver
+_TABLE_JOIN_ARGS = {"keys", "right_keys", "join_type", "left_suffix",
+                    "right_suffix", "coalesce_keys", "use_threads"}
+# (file, enclosing def) of every ``Table.join(`` call: the one index
+# join, and the flagship's canonical-IRI lookup (its output is pinned)
+TABLE_JOIN_ALLOWED = {
+    ("stages/join.py", "join_indices"),
+    ("stages/canonicalize.py", "canonicalize_table.lookup"),
+}
+
+
+def _is_table_join(call):
+    return isinstance(call.func, ast.Attribute) and (
+        bool({k.arg for k in call.keywords} & _TABLE_JOIN_ARGS)
+        or (len(call.args) > 1 and not ast.unparse(call.func.value).endswith("os.path"))
+    )
+
+
+def test_table_join_sites_are_allowlisted():
+    found = {(rel, fn) for rel, fn, _ in _calls({"join"}, _is_table_join)}
+    assert found == TABLE_JOIN_ALLOWED
 
 
 def _old_graph_mix(x):

@@ -118,6 +118,27 @@ def test_strbefore_strafter_absent_separator(ray_session):
     assert df["pre"].iloc[0] == "" and df["post"].iloc[0] == ""
 
 
+def test_strbefore_strafter_null_empty_separator_and_non_ascii(ray_session):
+    rows = ROWS + [
+        ("a", "http://ex.org/tag", "süß–straße–x"),
+        ("b", "http://ex.org/tag", "日本:語"),
+    ]
+    df = _run(
+        "SELECT ?d ?pre ?post ?e0 ?e1 ?k WHERE { ?d ex:size ?s ."
+        " OPTIONAL { ?d ex:tag ?t }"
+        ' BIND(STRBEFORE(?t, "–") AS ?pre) BIND(STRAFTER(?t, "–") AS ?post)'
+        ' BIND(STRBEFORE(?t, "") AS ?e0) BIND(STRAFTER(?t, "") AS ?e1)'
+        ' BIND(STRAFTER("日本:語", ":") AS ?k) }',
+        rows=rows,
+    )
+    # c has no tag: an unbound operand reads "" (never null)
+    assert _col(df, "pre") == {"a": "süß", "b": "", "c": ""}
+    assert _col(df, "post") == {"a": "straße–x", "b": "", "c": ""}
+    assert _col(df, "e0") == {"a": "", "b": "", "c": ""}
+    assert _col(df, "e1") == {"a": "süß–straße–x", "b": "日本:語", "c": ""}
+    assert _col(df, "k") == {"a": "語", "b": "語", "c": "語"}
+
+
 def test_concat_mixed_expressions(ray_session):
     df = _run(
         'SELECT ?d ?tag WHERE { ?d ex:name ?nm .'
@@ -589,6 +610,22 @@ def test_xsd_integer_truncates_and_nulls(ray_session):
     got = _col(df, "n")
     assert got["a"] == 10.0 and got["b"] == 3.0 and got["c"] == -3.0
     assert got["d"] != got["d"]  # NaN == unbound
+
+
+@pytest.mark.parametrize("lex", ["1_000", "١", "nan"])
+def test_numeric_constant_reads_like_a_column(ray_session, lex):
+    # a folded constant and the same lexical in a column take one
+    # numeric rule: pandas' grammar, under which these are not numbers
+    rows = [("a", "http://ex.org/v", lex), ("b", "http://ex.org/v", "5")]
+    kept = {}
+    for operand in ("?v", '"%s"' % lex):
+        df = _run(
+            XSD_PREFIX + "SELECT ?d WHERE { ?d ex:v ?v ."
+            ' FILTER (?v = "%s" && xsd:double(%s) != 12345) }' % (lex, operand),
+            rows=rows,
+        )
+        kept[operand] = sorted(df["d"]) if len(df) else []
+    assert kept["?v"] == kept['"%s"' % lex] == []
 
 
 def test_xsd_cast_type_error_drops_in_filter(ray_session):
