@@ -9,8 +9,9 @@ store would (vertical partitioning by predicate — the classic SW-Store
 table format would (manifest-swapped partition generations):
 
 * ``persist_kg``: ONE construction pass — each triple gets a
-  deterministic ``pred_key`` partition token in ``map_batches`` and the
-  table is written as one Parquet directory per predicate token.
+  deterministic ``pred_key`` partition token in ``map_batches`` and
+  every predicate partition is written as one compacted generation
+  directory (layout below).
 * ``read_kg``: reads ONLY the requested predicates' partitions
   (directory pruning at the storage layer; scan fraction ≈
   |preds| / |distinct preds|), with a residual equality filter because
@@ -29,12 +30,29 @@ table format would (manifest-swapped partition generations):
   re-pointed, never copied, and a crash mid-update leaves the old
   manifest reading the old snapshot (snapshot isolation for free).
 
+File layout: every writer (build, update, graph transforms) goes
+through ``_write_generation``, whose write tasks each gather blocks up
+to ``ROWS_PER_FILE`` rows and write each partition they hold as one
+Parquet file with one row group, in input order.  A generation of at
+most ``ROWS_PER_FILE`` rows is one write task, so each partition it
+writes is one file — a pruned read opens one file per predicate.  The
+coalescing is per write task: a larger generation gives each partition
+about one file per ``ROWS_PER_FILE``-row slice of the whole generation
+(a per-partition ``keyed_exchange`` before the write would fold those,
+if the Ray path ever needs it).  Rows are not sorted: a partition
+reads back in input order, which is the order a LIMIT without ORDER BY
+sees.  Stores written with one file per Ray block (several files of
+many row groups per partition) read and update unchanged; their
+untouched partitions keep their files.
+
 The ``_meta.json`` manifest doubles as the completeness sentinel: it
 is the LAST artifact published on both build and update — a store
 without it is invisible and gets rebuilt; stale generation directories
-are unreferenced, not corrupting.  Every writer (build, update, clear,
-graph transforms, vacuum) runs under the store's single-writer lock;
-the commit protocol lives in ``state/commit.py``.
+are unreferenced, not corrupting.  The compacted files are written
+under a staging directory and moved into place before that manifest.
+Every writer (build, update, clear, graph transforms, vacuum) runs
+under the store's single-writer lock; the commit protocol lives in
+``state/commit.py``.
 
 At cluster scale the store build is the only full-data pass; a BGP
 whose patterns bind 2 of 40 predicates opens 2/40ths of the files, and
@@ -134,28 +152,90 @@ def _add_key(batch: pa.Table) -> pa.Table:
     return pa.Table.from_pydict({**{c: column(c) for c in names}, "pred_key": col})
 
 
+# Rows per store file and per write task: a write task gathers blocks up
+# to this many rows, and no file holds more.  Equal to
+# ``sparql_text.LOCAL_MAX_ROWS``, so a read large enough to run on Ray
+# Data spans at least two files, and a write task holds about as many
+# rows as an in-process query reads.
+ROWS_PER_FILE = 400_000
+
+
+def _partition_sink(staging: str):
+    """A Ray Data sink whose write tasks each get blocks up to
+    ``ROWS_PER_FILE`` rows and write them as
+    ``staging/<token>/<task>-<n>.parquet``: each partition's rows in
+    input order, at most ``ROWS_PER_FILE`` rows per file, each file one
+    row group.  File names sort in task order, so a partition reads
+    back in the order its rows were written."""
+    from ray.data import Datasink
+
+    cap = ROWS_PER_FILE
+
+    class PartitionSink(Datasink):
+        min_rows_per_write = cap
+
+        def write(self, blocks, ctx):
+            import pyarrow.compute as pc
+            import pyarrow.parquet as pq
+
+            tables = [b for b in blocks if b.num_rows]
+            if not tables:
+                return
+            table = pa.concat_tables(tables, promote_options="permissive")
+            keys = table.column("pred_key")
+            rows = table.drop_columns(["pred_key"])
+            for token in pc.unique(keys).to_pylist():
+                part = rows.filter(pc.equal(keys, token))
+                out = os.path.join(staging, token)
+                os.makedirs(out, exist_ok=True)
+                for n, off in enumerate(range(0, part.num_rows, cap)):
+                    path = os.path.join(out, "%06d-%06d.parquet" % (ctx.task_idx, n))
+                    pq.write_table(part.slice(off, cap), path, row_group_size=cap)
+
+    return PartitionSink()
+
+
 def _write_generation(keyed_ds, store_dir: str, gen: int) -> dict:
-    """Write one hive pass under a staging dir, then move each
-    partition to its generation directory.  Returns {token: relpath}."""
+    """Write one generation under a staging dir (``_partition_sink``),
+    then move each partition to its generation directory.  Returns
+    {token: relpath}."""
     import shutil
 
     staging = os.path.join(store_dir, "_stage_g%d" % gen)
     if os.path.isdir(staging):
         shutil.rmtree(staging)
-    keyed_ds.write_parquet(staging, partition_cols=["pred_key"])
+    keyed_ds.write_datasink(_partition_sink(staging))
     if not os.path.isdir(staging):  # empty dataset writes nothing
         return {}
 
     parts = {}
-    for d in sorted(os.listdir(staging)):
-        if not d.startswith("pred_key="):
-            continue
-        token = d.split("=", 1)[1]
+    for token in sorted(os.listdir(staging)):
         rel = os.path.join("parts", "%s-g%d" % (token, gen))
-        commit.move(os.path.join(staging, d), os.path.join(store_dir, rel))
+        commit.move(os.path.join(staging, token), os.path.join(store_dir, rel))
         parts[token] = rel
     shutil.rmtree(staging)
     return parts
+
+
+def _pred_tokens(ds, rows=None) -> set:
+    """The ``pred_key`` tokens of ``ds``'s predicates (of the rows
+    ``rows(batch)`` keeps, when given).  Each block shrinks to its
+    distinct predicates where it lives; the driver reads those back as
+    Arrow batches."""
+    import pyarrow.compute as pc
+
+    def uniq(b: pa.Table) -> pa.Table:
+        # an empty upstream block may arrive schemaless
+        if "pred" not in b.column_names:
+            return pa.table({"pred": pa.array([], pa.string())})
+        if rows is not None:
+            b = rows(b)
+        return pa.table({"pred": pc.unique(pc.cast(b.column("pred"), pa.string()))})
+
+    batches = ds.map_batches(uniq, batch_format="pyarrow").iter_batches(
+        batch_format="pyarrow", batch_size=None
+    )
+    return {pred_key(p) for b in batches for p in b.column("pred").to_pylist()}
 
 
 def _repoint(partitions: dict, touched, new_parts: dict) -> dict:
@@ -192,8 +272,9 @@ def _partition_files(store_dir: str, partitions: dict, tokens) -> list:
 def persist_kg(triples_ds, store_dir: str) -> dict:
     """One-shot store build from a (subj, pred, obj_value) Dataset.
     Returns the meta dict.  Predicate-partitioned so later reads prune;
-    within a partition Ray writes one file per block, so reads
-    parallelize without a repartition."""
+    each partition is written compacted (``_write_generation``): one
+    file with one row group per ``ROWS_PER_FILE`` rows of the build, in
+    input order, with no extra pass and no shuffle."""
     import shutil
 
     os.makedirs(store_dir, exist_ok=True)
@@ -267,24 +348,8 @@ def update_kg(store_dir: str, insert_ds=None, delete_ds=None, quads=None) -> dic
         if delete_ds is not None:
             delete_ds = delete_ds.materialize()
 
-        def delta_keys(ds):
-            if ds is None:
-                return set()
-
-            def uniq(b: pa.Table) -> pa.Table:
-                # an empty upstream block may arrive schemaless
-                if "pred" not in b.column_names:
-                    return pa.Table.from_pydict({"pred": pa.array([], pa.string())})
-                return pa.Table.from_pydict(
-                    {"pred": pc.unique(pc.cast(b.column("pred"), pa.string()))}
-                )
-
-            df = ds.map_batches(uniq, batch_format="pyarrow").to_pandas()
-            if "pred" not in df.columns:  # zero-block dataset
-                return set()
-            return {pred_key(p) for p in df["pred"].unique()}
-
-        touched = sorted(delta_keys(insert_ds) | delta_keys(delete_ds))
+        deltas = [ds for ds in (insert_ds, delete_ds) if ds is not None]
+        touched = sorted(set().union(*map(_pred_tokens, deltas)))
         if not touched:
             return meta
 
@@ -393,7 +458,6 @@ def transform_graphs(store_dir: str, affected, rewrite) -> dict:
 
     Requires a quad store (``store_has_graph``); raises otherwise."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     with commit.writer_lock(store_dir):
         meta = _current_meta(store_dir)
@@ -409,24 +473,13 @@ def transform_graphs(store_dir: str, affected, rewrite) -> dict:
             return meta
 
         # pass 1: (pred, graph)-only prune scan -> touched pred_keys
-        def hit_preds(b: pa.Table) -> pa.Table:
-            g = pc.fill_null(pc.cast(b.column("graph"), pa.string()), "")
-            hits = b.filter(affected(g))
-            return pa.Table.from_pydict(
-                {"pred": pc.unique(pc.cast(hits.column("pred"), pa.string()))}
-            )
+        def hits(b: pa.Table) -> pa.Table:
+            return b.filter(affected(pc.fill_null(pc.cast(b.column("graph"), pa.string()), "")))
 
-        df = (
-            read_parquet_clean(all_paths, columns=["pred", "graph"])
-            .map_batches(hit_preds, batch_format="pyarrow")
-            .to_pandas()
+        touched = sorted(
+            _pred_tokens(read_parquet_clean(all_paths, columns=["pred", "graph"]), hits)
+            & set(partitions)
         )
-        touched = (
-            sorted({pred_key(p) for p in df["pred"].unique()})
-            if "pred" in df.columns and len(df)
-            else []
-        )
-        touched = [t for t in touched if t in partitions]
         if not touched:
             return meta
 
@@ -514,6 +567,13 @@ def scan_rows(store_dir: str, preds=None, stop_after: int | None = None) -> int:
     no counts that ``update_kg`` or ``transform_graphs`` would have to
     keep up."""
     return _open_pruned(store_dir, preds, None, stop_after)[1]
+
+
+def scan_layout(store_dir: str, preds=None) -> tuple[int, int]:
+    """``(files, row groups)`` a read of ``preds`` opens, from every
+    pruned file's Parquet footer."""
+    files = _open_pruned(store_dir, preds, None, None)[0]
+    return len(files), sum(f.metadata.num_row_groups for f in files)
 
 
 def read_kg(store_dir: str, preds=None, columns=None):

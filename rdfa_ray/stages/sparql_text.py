@@ -3942,9 +3942,10 @@ def explain(query: str, store_dir: str | None = None) -> str:
     SQL engine.  Shows the parsed algebra (form, patterns incl. path
     expressions, groups, modifiers) and, with ``store_dir``, the
     predicate-pushdown outcome: which of the store's partitions the
-    scan would open, and which executor ``execute_on_store`` picks for
-    it (the same footer row count against ``LOCAL_MAX_ROWS``).  Pure
-    planning — nothing executes."""
+    scan would open, how many files and Parquet row groups they hold,
+    and which executor ``execute_on_store`` picks for it (the same
+    footer row count against ``LOCAL_MAX_ROWS``).  Pure planning —
+    nothing executes."""
     plan = parse_query(query)
     lines = ["form: %s" % plan["form"].upper()]
     if plan["form"] == "select":
@@ -4084,7 +4085,7 @@ def explain(query: str, store_dir: str | None = None) -> str:
 
     preds, prunable = _plan_pred_pushdown(plan)
     if store_dir is not None:
-        from .kgstore import pred_key, scan_rows, store_meta
+        from .kgstore import pred_key, scan_layout, scan_rows, store_meta
 
         meta = store_meta(store_dir)
         if meta is None:
@@ -4102,10 +4103,9 @@ def explain(query: str, store_dir: str | None = None) -> str:
                     "store scan: ALL %d partitions (variable predicate or"
                     " neg/star/opt path)" % len(parts)
                 )
-            rows = scan_rows(
-                store_dir, sorted(preds) if prunable else None,
-                stop_after=LOCAL_MAX_ROWS,
-            )
+            scan = sorted(preds) if prunable else None
+            lines.append("store files: %d (%d row groups)" % scan_layout(store_dir, scan))
+            rows = scan_rows(store_dir, scan, stop_after=LOCAL_MAX_ROWS)
             lines.append(
                 "executor: in-process (%d rows <= %d)" % (rows, LOCAL_MAX_ROWS)
                 if rows <= LOCAL_MAX_ROWS

@@ -385,3 +385,189 @@ def test_ensure_kg_two_threads_build_one_generation(ray_session, tmp_path):
     assert all(d.endswith("-g1") for d in os.listdir(os.path.join(store, "parts")))
     # a complete store is read, never rebuilt
     assert ensure_kg(store, build)["generation"] == 1 and len(builds) == 1
+
+
+# ------------------------------------------------- compacted layout
+
+P = ["http://ex.org/p%d" % i for i in range(4)]
+
+
+def _rows(n=160):
+    """Quads with every predicate and two graphs interleaved; ``urn:g1``
+    only under the first two predicates."""
+    return [
+        {"subj": "s%03d" % i, "pred": P[i % 4], "obj_value": "o%d" % i,
+         "graph": "urn:g1" if i % 4 < 2 and i % 3 == 0 else "urn:g0"}
+        for i in range(n)
+    ]
+
+
+def _blocks(rows, n_blocks=16, cols=("subj", "pred", "obj_value", "graph")):
+    """``rows`` as a Dataset of ``n_blocks`` Arrow blocks, in order."""
+    import ray.data as rd
+
+    step = -(-len(rows) // n_blocks)
+    return rd.from_arrow([
+        pa.Table.from_pylist([{c: r[c] for c in cols} for r in rows[i:i + step]])
+        for i in range(0, len(rows), step)
+    ])
+
+
+def _layout(store):
+    """(manifest, {token: [row groups of each file, in read order]})."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    meta = json.load(open(os.path.join(store, "_meta.json")))
+    return meta, {
+        t: [pq.ParquetFile(f).metadata.num_row_groups
+            for f in sorted(glob.glob(os.path.join(store, rel, "*.parquet")))]
+        for t, rel in meta["partitions"].items()
+    }
+
+
+def _in_order(store, pred):
+    """``pred``'s rows as the store reads them, as dicts."""
+    import sys
+
+    from rdfa_ray.stages.kgstore import read_kg_table
+
+    return read_kg_table(store, [pred], None, sys.maxsize).to_pylist()
+
+
+def test_every_writer_writes_one_file_one_row_group(ray_session, tmp_path):
+    import pyarrow.compute as pc
+
+    from rdfa_ray.stages.kgstore import transform_graphs
+
+    rows = _rows()
+    store = str(tmp_path / "kg")
+    persist_kg(_blocks(rows), store)
+    meta, layout = _layout(store)
+    assert layout == {pred_key(p): [1] for p in P}
+    for p in P:  # input order, filtered by predicate
+        assert _in_order(store, p) == [r for r in rows if r["pred"] == p]
+
+    update_kg(store, insert_ds=_ds([("s999", P[2], "new")]))
+    meta2, layout = _layout(store)
+    assert layout == {pred_key(p): [1] for p in P}
+    assert meta2["partitions"][pred_key(P[2])].endswith("-g2")
+    for p in (P[0], P[1], P[3]):  # carried by reference
+        assert meta2["partitions"][pred_key(p)] == meta["partitions"][pred_key(p)]
+
+    meta3 = transform_graphs(
+        store,
+        lambda g: pc.equal(g, "urn:g1"),
+        lambda b: b.filter(pc.not_equal(b.column("graph"), "urn:g1")),
+    )
+    _, layout = _layout(store)
+    assert layout == {pred_key(p): [1] for p in P}
+    assert [meta3["partitions"][pred_key(p)][-3:] for p in P] == ["-g3", "-g3", "-g2", "-g1"]
+    for p in P[:2]:
+        assert _in_order(store, p) == [
+            r for r in rows if r["pred"] == p and r["graph"] != "urn:g1"
+        ]
+
+
+def test_partition_above_the_cap_splits_in_order(ray_session, tmp_path, monkeypatch):
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from rdfa_ray.stages import kgstore
+
+    monkeypatch.setattr(kgstore, "ROWS_PER_FILE", 25)
+    rows = _rows(400)  # 100 rows per partition
+    store = str(tmp_path / "kg")
+    meta = persist_kg(_blocks(rows), store)
+    for p in P:
+        files = sorted(glob.glob(os.path.join(store, meta["partitions"][pred_key(p)], "*")))
+        assert len(files) >= 4
+        for f in files:
+            md = pq.ParquetFile(f).metadata
+            assert md.num_row_groups == 1 and md.num_rows <= 25
+        assert _in_order(store, p) == [r for r in rows if r["pred"] == p]
+
+
+@pytest.mark.usefixtures("both_executors")
+def test_limit_without_order_reads_input_order(tmp_path):
+    from rdfa_ray.stages import sparql_text
+
+    rows = _rows()
+    store = str(tmp_path / "kg")
+    persist_kg(_blocks(rows, cols=("subj", "pred", "obj_value")), store)
+    got = sparql_text.execute_on_store(
+        store, "SELECT ?s ?o WHERE { ?s <%s> ?o } LIMIT 5" % P[1]
+    ).to_pandas()
+    want = [(r["subj"], r["obj_value"]) for r in rows if r["pred"] == P[1]][:5]
+    assert list(zip(got["s"], got["o"])) == want
+
+
+def _split_like_block_writes(store, token, n_files=3, group_rows=4):
+    """Rewrite one partition the way one-file-per-block writers left
+    it: several files of several row groups each."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    rel = json.load(open(os.path.join(store, "_meta.json")))["partitions"][token]
+    (path,) = glob.glob(os.path.join(store, rel, "*.parquet"))
+    table = pq.read_table(path)
+    os.remove(path)
+    step = -(-table.num_rows // n_files)
+    for i in range(n_files):
+        pq.write_table(
+            table.slice(i * step, step),
+            os.path.join(store, rel, "u_%06d_000000-0.parquet" % i),
+            row_group_size=group_rows,
+        )
+    return rel
+
+
+@pytest.mark.usefixtures("both_executors")
+def test_block_layout_store_reads_and_updates(tmp_path):
+    import duckdb
+
+    from rdfa_ray.stages import sparql_text
+
+    rows = [r for r in _rows() if r["graph"] == "urn:g0"]
+    store = str(tmp_path / "kg")
+    persist_kg(_blocks(rows), store)
+    rel = _split_like_block_writes(store, pred_key(P[0]))
+    meta, layout = _layout(store)
+    assert len(layout[pred_key(P[0])]) == 3 and min(layout[pred_key(P[0])]) > 1
+
+    def files(rel):
+        return sorted(
+            (e.name, e.stat().st_ino, e.stat().st_mtime_ns)
+            for e in os.scandir(os.path.join(store, rel))
+        )
+
+    old_files = files(rel)
+    con = duckdb.connect()
+    queries = [
+        ("SELECT ?s ?a ?b WHERE { ?s <%s> ?a . ?s <%s> ?b }" % (P[0], P[2]),
+         "SELECT a.subj, a.obj_value, b.obj_value FROM t a JOIN t b ON a.subj = b.subj"
+         " WHERE a.pred = '%s' AND b.pred = '%s'" % (P[0], P[2])),
+        ("SELECT ?o (COUNT(*) AS ?n) WHERE { ?s <%s> ?o } GROUP BY ?o" % P[0],
+         "SELECT obj_value, COUNT(*) FROM t WHERE pred = '%s' GROUP BY obj_value" % P[0]),
+    ]
+
+    def check():
+        live = json.load(open(os.path.join(store, "_meta.json")))["partitions"].values()
+        con.execute("CREATE OR REPLACE TABLE t AS SELECT subj, pred, obj_value, graph"
+                    " FROM read_parquet([%s])"
+                    % ", ".join(repr(os.path.join(store, r, "*.parquet")) for r in live))
+        for sparql, sql in queries:
+            got = sparql_text.execute_on_store(store, sparql).to_pandas()
+            assert sorted(map(tuple, got.astype(object).values.tolist())) == sorted(
+                con.execute(sql).fetchall()
+            ), sparql
+
+    check()
+    meta2 = update_kg(store, insert_ds=_ds([("s001", P[2], "new")]))
+    assert meta2["partitions"][pred_key(P[0])] == rel
+    assert files(rel) == old_files  # the block-layout partition is untouched
+    assert _layout(store)[1][pred_key(P[2])] == [1]
+    check()

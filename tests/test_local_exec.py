@@ -263,6 +263,18 @@ def test_graph_patterns_on_quad_store(ray_session, tmp_path, monkeypatch):
     )
 
 
+def test_explain_counts_store_files(ray_session, tmp_path):
+    p, q_ = "http://ex.org/lang", "http://ex.org/size"
+    rows = [("d%d" % i, (p, q_, "http://ex.org/x")[i % 3], "v%d" % i, "urn:g%d" % (i % 2))
+            for i in range(30)]
+    store = _store(tmp_path, rows, graph=True)
+    star = "SELECT ?g ?n WHERE { GRAPH ?g { ?d <%s> \"zh\" ; <%s> ?n } }" % (p, q_)
+    lines = sparql_text.explain(star, store).splitlines()
+    i = lines.index("store files: 2 (2 row groups)")
+    assert lines[i - 1].startswith("store scan: 2 of 3 partitions")
+    assert lines[i + 1] == "executor: in-process (20 rows <= %d)" % sparql_text.LOCAL_MAX_ROWS
+
+
 def test_limit_boundary(ray_session, tmp_path, monkeypatch):
     rows = [("s%d" % i, "http://ex.org/p", "o%d" % (i % 4)) for i in range(9)]
     rows.append(("s0", "http://ex.org/other", "x"))

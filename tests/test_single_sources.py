@@ -5,8 +5,9 @@ The structural guards read the ``rdfa_ray`` sources with ``ast``: every
 ``.map_groups(`` call and every call of the crc32 bucket kernels
 outside ``functions/`` must be on an allowlist, so a new hand-rolled
 exchange fails here and goes through ``functions/exchange.py``
-instead.  The SPARQL query kernels compute on ``pa.Table`` only: no
-pandas import, ``pd.`` use or pandas batch in their modules, and every
+instead.  The SPARQL query kernels and the store compute on
+``pa.Table`` only: no pandas import, ``pd.`` use or pandas batch in
+their modules, no ``.to_pandas(`` round trip in the store, and every
 Arrow ``Table.join`` is on an allowlist (the join kernels share
 ``stages/join.join_indices``)."""
 
@@ -93,16 +94,21 @@ def test_no_hand_rolled_bucket_columns():
     assert outside == CRC32_ALLOWED
 
 
-# modules of the query path that compute on pa.Table only
+# modules of the query path that compute on pa.Table only, and the
+# store they read
 PANDAS_FREE = ("stages/bgp.py", "stages/sparql.py", "stages/distinct.py",
                "stages/localframe.py", "stages/join.py", "stages/closure.py",
-               "stages/sparql_text.py")
+               "stages/sparql_text.py", "stages/kgstore.py")
+# modules that never convert a Dataset or table to pandas: their
+# ``.to_pandas(`` calls count as pandas uses too
+NO_TO_PANDAS = ("stages/kgstore.py",)
 
 
 def _pandas_uses(rel):
     """(what, line) for each pandas import, ``pd.`` attribute, pandas
-    batch format, and ``keyed_exchange`` call left at its pandas
-    default batch format in one ``rdfa_ray`` file."""
+    batch format, ``keyed_exchange`` call left at its pandas default
+    batch format, and (in ``NO_TO_PANDAS``) ``.to_pandas(`` call in
+    one ``rdfa_ray`` file."""
     found = []
     for node in ast.walk(ast.parse((ROOT / rel).read_text())):
         if isinstance(node, ast.Import):
@@ -120,6 +126,10 @@ def _pandas_uses(rel):
             not any(k.arg == "batch_format" for k in node.keywords)
         ):
             found.append(("keyed_exchange default format", node.lineno))
+        elif rel in NO_TO_PANDAS and isinstance(node, ast.Call) and (
+            getattr(node.func, "attr", None) == "to_pandas"
+        ):
+            found.append((".to_pandas(", node.lineno))
     return found
 
 
