@@ -1,10 +1,11 @@
 """Minimal DOM node model shared by the HTML and XML parse paths.
 
-API surface mirrors the subset of ``xml.dom.minidom`` the reference
-kernel touches (hasAttribute/getAttribute/..., childNodes iteration,
+The kernel reads and edits ``attrs`` (a dict) directly.  The
+``xml.dom.minidom``-style methods (hasAttribute/getAttribute/...,
 ``getElementsByTagName`` for <base> discovery at
 ``/root/reference/pyRdfa/state.py:186-190``, and ``toxml()`` for XML
-literal generation, ``/root/reference/pyRdfa/utils.py:211-239``).
+literal generation, ``/root/reference/pyRdfa/utils.py:211-239``) remain
+for custom transformers written against the reference's DOM.
 Text children are plain ``str`` objects; comments/PIs are dropped at
 parse time (they are invisible to RDFa processing).
 """
@@ -27,7 +28,9 @@ class Element:
 
     def __init__(self, tag: str, attrs=None, ns_uri: str | None = None, local: str | None = None):
         self.tag = tag              # qualified name as written (lowercased in HTML)
-        self.local = local if local is not None else (tag.split(":", 1)[-1])
+        if local is None:
+            local = tag if ":" not in tag else tag.split(":", 1)[1]
+        self.local = local
         self.ns_uri = ns_uri        # resolved namespace URI (XML path only)
         self.ns_scope = None        # in-scope prefix->uri map (XML path only)
         self.attrs: dict[str, str] = dict(attrs) if attrs else {}
@@ -76,6 +79,9 @@ class Element:
 
     def text_content(self) -> str:
         """Recursive text (reference ``_get_literal``, property.py:231-251)."""
+        children = self.children
+        if len(children) == 1 and type(children[0]) is str:
+            return children[0]
         out = []
         stack = [iter(self.children)]
         while stack:

@@ -79,7 +79,7 @@ def sniff_profile(text: str) -> tuple[str, str]:
     tag = _first_tag(head)
     tag_l = tag.lower() if tag else None
     has_xml_decl = head.startswith("<?xml")
-    doctype = _DOCTYPE_RE.search(head)
+    doctype = _DOCTYPE_RE.search(head) if "<!" in head else None
     doctype_s = doctype.group(0) if doctype else ""
 
     if tag_l == "svg":

@@ -26,7 +26,6 @@ from urllib.parse import urlsplit
 from ..dom.node import Element
 from ..rdf.terms import RDF_NS, XSD_NS, iri, literal
 from .context import ACCEPT_EMBEDDED_RDF_XML, ACCEPT_EMBEDDED_TURTLE
-from .literals import return_xml
 
 
 def _resolve_iri(base: str, ref: str) -> str:
@@ -280,20 +279,31 @@ def parse_turtle(text: str, base: str, bnodes) -> set:
 _RDF_PT = RDF_NS
 
 
+def _attr_ns(el: Element, prefix: str):
+    """The namespace of an attribute prefix on ``el``.  The xml_builder
+    resolves element namespaces, and attributes keep their prefixes: the
+    conventional ``rdf`` prefix, the element's own prefix, then the
+    element's in-scope declarations."""
+    if prefix == "rdf":
+        return RDF_NS
+    if ":" in el.tag and el.tag.split(":", 1)[0] == prefix and el.ns_uri:
+        return el.ns_uri
+    if el.ns_scope and prefix in el.ns_scope:
+        return el.ns_scope[prefix]
+    return None
+
+
 def _rdf_attr(el: Element, local: str):
+    """The value of ``el``'s RDF-namespace attribute ``local``, under any
+    prefix bound to the RDF namespace, or None."""
     for name, value in el.attrs.items():
-        if name == "rdf:" + local or (name.endswith(":" + local) and _is_rdf_prefixed(el, name)):
+        prefix, sep, name_local = name.partition(":")
+        if sep and name_local == local and _attr_ns(el, prefix) == RDF_NS:
             return value
     return None
 
 
-def _is_rdf_prefixed(el, name):
-    return name.startswith("rdf:")  # conventional prefix; subset assumption
-
-
 class _RdfXmlParser:
-    _SYNTAX_ATTRS = {"about", "ID", "nodeID", "resource", "datatype", "parseType"}
-
     def __init__(self, base: str, bnodes, lang: str | None = None):
         self.base = base
         self.bnodes = bnodes
@@ -318,17 +328,17 @@ class _RdfXmlParser:
         return b
 
     def parse_rdf_element(self, rdf_el: Element, lang=None):
-        if rdf_el.hasAttribute("xml:base"):
-            self.base = rdf_el.getAttribute("xml:base")
-        if rdf_el.hasAttribute("xml:lang"):
-            lang = rdf_el.getAttribute("xml:lang").lower() or None
+        if "xml:base" in rdf_el.attrs:
+            self.base = rdf_el.attrs["xml:base"]
+        if "xml:lang" in rdf_el.attrs:
+            lang = rdf_el.attrs["xml:lang"].lower() or None
         for child in rdf_el.element_children():
             self.parse_node_element(child, lang)
         return self.triples
 
     def parse_node_element(self, el: Element, lang=None):
-        if el.hasAttribute("xml:lang"):
-            lang = el.getAttribute("xml:lang").lower() or None
+        if "xml:lang" in el.attrs:
+            lang = el.attrs["xml:lang"].lower() or None
         about = _rdf_attr(el, "about")
         node_id = _rdf_attr(el, "nodeID")
         rid = _rdf_attr(el, "ID")
@@ -345,15 +355,14 @@ class _RdfXmlParser:
         if qname != RDF_NS + "Description":
             self.triples.add((subj, iri(RDF_NS + "type"), iri(qname)))
 
-        # property attributes (non-rdf, non-xml attributes)
+        # property attributes: the prefixed ones outside the xml and RDF
+        # namespaces
         for name, value in el.attrs.items():
-            if name.startswith("xml") or name.startswith("rdf:"):
-                continue
-            if ":" not in name:
+            if name.startswith("xml") or ":" not in name:
                 continue
             prefix, local = name.split(":", 1)
-            ns = self._attr_ns(el, prefix)
-            if ns is None:
+            ns = _attr_ns(el, prefix)
+            if ns is None or ns == RDF_NS:
                 continue
             self.triples.add((subj, iri(ns + local), literal(value, lang=lang)))
 
@@ -361,21 +370,9 @@ class _RdfXmlParser:
             self.parse_property_element(subj, prop_el, lang)
         return subj
 
-    def _attr_ns(self, el: Element, prefix: str):
-        # The xml_builder resolved element namespaces but attributes keep
-        # their prefixes; walk up is unavailable, so use the element's own
-        # scope approximation: rdf prefix and the element's prefix.
-        if prefix == "rdf":
-            return RDF_NS
-        if ":" in el.tag and el.tag.split(":", 1)[0] == prefix and el.ns_uri:
-            return el.ns_uri
-        if el.ns_scope and prefix in el.ns_scope:
-            return el.ns_scope[prefix]
-        return None
-
     def parse_property_element(self, subj, el: Element, lang=None):
-        if el.hasAttribute("xml:lang"):
-            lang = el.getAttribute("xml:lang").lower() or None
+        if "xml:lang" in el.attrs:
+            lang = el.attrs["xml:lang"].lower() or None
         pred = iri(self._term_ns(el))
         resource = _rdf_attr(el, "resource")
         node_id = _rdf_attr(el, "nodeID")
@@ -438,7 +435,7 @@ def handle_embedded_rdf(node: Element, graph: set, state) -> bool:
     if not options.embedded_rdf:
         return False
     if options.host_language in ACCEPT_EMBEDDED_TURTLE and node.tag.lower() == "script":
-        if node.hasAttribute("type") and node.getAttribute("type") == "text/turtle":
+        if node.attrs.get("type") == "text/turtle":
             content = "".join(c for c in node.children if not isinstance(c, Element))
             content = content.replace("<![CDATA[", "").replace("]]>", "")
             try:

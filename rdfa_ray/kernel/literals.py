@@ -1,7 +1,7 @@
 """``@property`` value generation (literal and IRI objects).
 
 Semantics from ``/root/reference/pyRdfa/property.py`` (class
-``ProcessProperty``) and the XML-literal serialization helper
+``ProcessProperty``, here two functions) and the XML-literal serialization helper
 ``return_XML`` (``utils.py:211-239``).
 """
 
@@ -10,9 +10,9 @@ from __future__ import annotations
 import re
 
 from ..dom.node import Element
-from ..rdf.terms import BNODE, RDF_HTML, RDF_XMLLITERAL, literal
+from ..rdf.terms import BNODE, LIT, RDF_HTML, RDF_XMLLITERAL, literal
 from .options import IncorrectBlankNodeUsage, IncorrectLiteral
-from .state import err_no_blank_node
+from .state import add_to_list_mapping, err_no_blank_node
 from .transform import HANDLED_TIME_TYPES
 
 _WS_RE = re.compile(r"(\r| |\n|\t)+")
@@ -29,14 +29,14 @@ def return_xml(state, inode: Element, base: bool = True, xmlns: bool = True) -> 
     clone, decorate with inherited xmlns declarations (+ optional xml:base),
     then serialize."""
     node = inode.clone()
+    attrs = node.attrs
     if base:
-        node.setAttribute("xml:base", state.base)
+        attrs["xml:base"] = state.base
     if xmlns:
         for prefix, uri in state.term_or_curie.xmlns.items():
-            if not node.hasAttribute("xmlns:%s" % prefix):
-                node.setAttribute("xmlns:%s" % prefix, uri)
-        if not node.getAttribute("xmlns") and state.defaultNS is not None:
-            node.setAttribute("xmlns", state.defaultNS)
+            attrs.setdefault("xmlns:%s" % prefix, uri)
+        if not attrs.get("xmlns") and state.defaultNS is not None:
+            attrs["xmlns"] = state.defaultNS
     return node.toxml()
 
 
@@ -56,169 +56,103 @@ _VALIDATORS = {
 }
 
 
-class ProcessProperty:
-    """property.py:41-311."""
+_IRI_REFS = ("resource", "href", "src")
+_IRI_REF_SET = frozenset(_IRI_REFS)
+_NO_IRI = frozenset(("content", "datatype", "rel", "rev"))
+_NO_TYPED_IRI = frozenset(("content", "datatype", "rel", "rev", "about", "about_pruned"))
 
-    def __init__(self, node, graph, subject, state, typed_resource=None):
-        self.node = node
-        self.graph = graph
-        self.subject = subject
-        self.state = state
-        self.typed_resource = typed_resource
 
-    def generate(self):
-        if self.state.rdfa_version >= "1.1":
-            self.generate_1_1()
-        else:
-            self.generate_1_0()
+def property_1_1(node, graph, subject, state, typed_resource, list_mapping) -> None:
+    """``@property`` in RDFa 1.1 (property.py:76-150).  ``list_mapping`` is
+    the element's list mapping, which ``@inlist`` values join."""
+    attrs = node.attrs
+    if not _IRI_REF_SET.isdisjoint(attrs) and _NO_IRI.isdisjoint(attrs):
+        obj = state.getResource(node, *_IRI_REFS)
+    elif "typeof" in attrs and _NO_TYPED_IRI.isdisjoint(attrs) and typed_resource is not None:
+        obj = typed_resource
+    else:
+        obj = _literal_object(node, state, state.lang or "", False)
 
-    def generate_1_1(self):
-        """property.py:76-150."""
-        node = self.node
-        irirefs = ("resource", "href", "src")
-        noiri = ("content", "datatype", "rel", "rev")
-        notypediri = ("content", "datatype", "rel", "rev", "about", "about_pruned")
-
-        def has_one_of(names):
-            return any(node.hasAttribute(n) for n in names)
-
-        if has_one_of(irirefs) and not has_one_of(noiri):
-            obj = self.state.getResource(irirefs)
-        elif node.hasAttribute("typeof") and not has_one_of(notypediri) and self.typed_resource is not None:
-            obj = self.typed_resource
-        else:
-            datatype = ""
-            dtset = False
-            if node.hasAttribute("datatype"):
-                dtset = True
-                dt = node.getAttribute("datatype")
-                if dt != "":
-                    datatype = self.state.getURI("datatype")
-
-            if self.state.lang is not None and self.state.supress_lang is False:
-                lang = self.state.lang
-            else:
-                lang = ""
-
-            if node.hasAttribute("content"):
-                val = node.getAttribute("content")
-                if dtset is False:
-                    obj = literal(val, lang=lang)
-                else:
-                    obj = self._create_literal(val, datatype=datatype, lang=lang)
-            else:
-                if dtset:
-                    if datatype != "" and datatype is not None and datatype[1] == RDF_XMLLITERAL:
-                        obj = literal(self._get_xml_literal(node), datatype=RDF_XMLLITERAL)
-                    elif datatype != "" and datatype is not None and datatype[1] == RDF_HTML:
-                        obj = literal(self._get_html_literal(node), datatype=RDF_HTML)
-                    else:
-                        obj = self._create_literal(
-                            self._get_literal(node), datatype=datatype, lang=lang
-                        )
-                else:
-                    obj = self._create_literal(self._get_literal(node), lang=lang)
-
-        if obj is not None:
-            for prop in self.state.getURI("property"):
-                if prop[0] != BNODE:
-                    if node.hasAttribute("inlist"):
-                        self.state.add_to_list_mapping(prop, obj)
-                    else:
-                        self.graph.add((self.subject, prop, obj))
-                else:
-                    self.state.options.add_warning(
-                        err_no_blank_node % "property",
-                        warning_type=IncorrectBlankNodeUsage,
-                        node=node.tag,
-                    )
-
-    def generate_1_0(self):
-        """property.py:152-217 — 1.0 generates only literals."""
-        node = self.node
-        datatype = ""
-        dtset = False
-        if node.hasAttribute("datatype"):
-            dtset = True
-            dt = node.getAttribute("datatype")
-            if dt != "":
-                datatype = self.state.getURI("datatype")
-
-        lang = self.state.lang if self.state.lang is not None else ""
-
-        if node.hasAttribute("content"):
-            val = node.getAttribute("content")
-            if dtset is False:
-                obj = literal(val, lang=lang)
-            else:
-                obj = self._create_literal(val, datatype=datatype, lang=lang)
-        else:
-            if dtset:
-                if datatype != "" and datatype is not None and datatype[1] == RDF_XMLLITERAL:
-                    obj = literal(self._get_xml_literal(node), datatype=RDF_XMLLITERAL)
-                elif datatype != "" and datatype is not None and datatype[1] == RDF_HTML:
-                    obj = literal(self._get_html_literal(node), datatype=RDF_HTML)
-                else:
-                    obj = self._create_literal(
-                        self._get_literal(node), datatype=datatype, lang=lang
-                    )
-            else:
-                # auto-XMLLiteral when element children exist (property.py:203)
-                if any(isinstance(c, Element) for c in node.children):
-                    obj = literal(self._get_xml_literal(node), datatype=RDF_XMLLITERAL)
-                else:
-                    obj = self._create_literal(self._get_literal(node), lang=lang)
-
-        for prop in self.state.getURI("property"):
+    if obj is not None:
+        inlist = "inlist" in attrs
+        for prop in state.getURI(node, "property"):
             if prop[0] != BNODE:
-                self.graph.add((self.subject, prop, obj))
+                if inlist:
+                    add_to_list_mapping(list_mapping, prop, obj)
+                else:
+                    graph.add((subject, prop, obj))
             else:
-                self.state.options.add_warning(
-                    err_no_blank_node % "property",
-                    warning_type=IncorrectBlankNodeUsage,
-                    node=node.tag,
+                state.options.add_warning(
+                    err_no_blank_node % "property", warning_type=IncorrectBlankNodeUsage, node=node.tag
                 )
 
-    # ------------------------------------------------------------------
-    def _get_literal(self, node: Element) -> str:
-        """property.py:231-251."""
-        rc = node.text_content()
-        if self.state.options.space_preserve:
-            return rc
-        return _WS_RE.sub(" ", rc).strip()
 
-    def _get_xml_literal(self, node: Element) -> str:
-        """property.py:254-267."""
-        rc = []
-        for c in node.children:
-            if isinstance(c, Element):
-                rc.append(return_xml(self.state, c, base=False))
-            else:
-                rc.append(_put_back_entities(c))
-        return "".join(rc)
+def property_1_0(node, graph, subject, state) -> None:
+    """``@property`` in RDFa 1.0 (property.py:152-217): literals only."""
+    obj = _literal_object(node, state, state.lang or "", True)
+    for prop in state.getURI(node, "property"):
+        if prop[0] != BNODE:
+            graph.add((subject, prop, obj))
+        else:
+            state.options.add_warning(
+                err_no_blank_node % "property", warning_type=IncorrectBlankNodeUsage, node=node.tag
+            )
 
-    def _get_html_literal(self, node: Element) -> str:
-        """property.py:270-284."""
-        rc = []
-        for c in node.children:
-            if isinstance(c, Element):
-                rc.append(return_xml(self.state, c, base=False, xmlns=False))
-            else:
-                rc.append(_put_back_entities(c))
-        return "".join(rc)
 
-    def _create_literal(self, val: str, datatype="", lang=""):
-        """property.py:286-311 (warning-only lexical validation)."""
-        if datatype is None or datatype == "":
+def _literal_object(node, state, lang: str, auto_xml: bool):
+    """The literal an element's ``@property`` takes (property.py:100-130,
+    176-205); ``auto_xml`` is RDFa 1.0's XMLLiteral for element content."""
+    attrs = node.attrs
+    datatype = ""
+    dtset = "datatype" in attrs
+    if dtset and attrs["datatype"] != "":
+        datatype = state.getURI(node, "datatype")
+
+    if "content" in attrs:
+        val = attrs["content"]
+        if not dtset:
             return literal(val, lang=lang)
-        dt_uri = datatype[1]
-        if dt_uri not in HANDLED_TIME_TYPES:
-            check = _VALIDATORS.get(dt_uri)
-            if check is not None and not check.match(val.strip()):
-                self.state.options.add_warning(
-                    "Incompatible value (%s) and datatype (%s) in Literal definition."
-                    % (val, dt_uri),
-                    warning_type=IncorrectLiteral,
-                    node=self.node.tag,
-                )
-        return literal(val, datatype=dt_uri)
+        return _create_literal(node, state, val, datatype, lang)
+    if dtset:
+        if datatype and datatype[1] == RDF_XMLLITERAL:
+            return literal(_get_xml_literal(node, state, True), datatype=RDF_XMLLITERAL)
+        if datatype and datatype[1] == RDF_HTML:
+            return literal(_get_xml_literal(node, state, False), datatype=RDF_HTML)
+    elif auto_xml and any(isinstance(c, Element) for c in node.children):
+        # auto-XMLLiteral when element children exist (property.py:203)
+        return literal(_get_xml_literal(node, state, True), datatype=RDF_XMLLITERAL)
+    # property.py:231-251
+    val = node.text_content()
+    if not state.options.space_preserve:
+        val = _WS_RE.sub(" ", val).strip()
+    if datatype:
+        return _create_literal(node, state, val, datatype, lang)
+    return (LIT, val, lang or None, None)
+
+
+def _get_xml_literal(node: Element, state, xmlns: bool) -> str:
+    """property.py:254-284: XMLLiteral (``xmlns``) or HTML literal content."""
+    rc = []
+    for c in node.children:
+        if isinstance(c, Element):
+            rc.append(return_xml(state, c, base=False, xmlns=xmlns))
+        else:
+            rc.append(_put_back_entities(c))
+    return "".join(rc)
+
+
+def _create_literal(node, state, val: str, datatype="", lang=""):
+    """property.py:286-311 (warning-only lexical validation)."""
+    if datatype is None or datatype == "":
+        return literal(val, lang=lang)
+    dt_uri = datatype[1]
+    if dt_uri not in HANDLED_TIME_TYPES:
+        check = _VALIDATORS.get(dt_uri)
+        if check is not None and not check.match(val.strip()):
+            state.options.add_warning(
+                "Incompatible value (%s) and datatype (%s) in Literal definition."
+                % (val, dt_uri),
+                warning_type=IncorrectLiteral,
+                node=node.tag,
+            )
+    return literal(val, datatype=dt_uri)

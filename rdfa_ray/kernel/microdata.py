@@ -61,8 +61,8 @@ def _vocab_of(itemtype: str) -> str:
 def _index_ids(root: Element) -> dict[str, Element]:
     out = {}
     for el in root.iter_elements():
-        if el.hasAttribute("id"):
-            out.setdefault(el.getAttribute("id"), el)
+        if "id" in el.attrs:
+            out.setdefault(el.attrs["id"], el)
     return out
 
 
@@ -72,24 +72,22 @@ def extract_microdata(root: Element, base: str, bnodes) -> set:
     ids = None  # built lazily: only documents using itemref pay for it
 
     def item_subject(el: Element):
-        if el.hasAttribute("itemid"):
-            return iri(_resolve_iri(base, el.getAttribute("itemid").strip()))
+        if "itemid" in el.attrs:
+            return iri(_resolve_iri(base, el.attrs["itemid"].strip()))
         return bnodes.new()
 
     def process_item(el: Element, subject, seen: frozenset):
         nonlocal ids
-        types = [
-            t for t in el.getAttribute("itemtype").split() if _is_absolute(t)
-        ] if el.hasAttribute("itemtype") else []
+        types = [t for t in el.attrs.get("itemtype", "").split() if _is_absolute(t)]
         for t in types:
             triples.add((subject, RDF_TYPE, iri(t)))
         vocab = _vocab_of(types[0]) if types else (base + "#" if base else "#")
 
         scopes = [el]
-        if el.hasAttribute("itemref"):
+        if "itemref" in el.attrs:
             if ids is None:
                 ids = _index_ids(_root)
-            for ref in el.getAttribute("itemref").split():
+            for ref in el.attrs["itemref"].split():
                 target = ids.get(ref)
                 if target is not None:
                     scopes.append(target)
@@ -98,21 +96,22 @@ def extract_microdata(root: Element, base: str, bnodes) -> set:
             stack = list(reversed(scope.element_children()))
             # for itemref targets the target element ITSELF may carry
             # the itemprop (spec: "the element itself or descendants")
-            if scope is not el and scope.hasAttribute("itemprop"):
+            if scope is not el and "itemprop" in scope.attrs:
                 stack = [scope]
             while stack:
                 node = stack.pop()
-                if node.hasAttribute("itemprop"):
+                if "itemprop" in node.attrs:
                     value = prop_value(node, seen)
                     if value is not None:
-                        for name in node.getAttribute("itemprop").split():
+                        for name in node.attrs["itemprop"].split():
                             pred = name if _is_absolute(name) else vocab + name
                             triples.add((subject, iri(pred), value))
-                if not node.hasAttribute("itemscope"):
+                if "itemscope" not in node.attrs:
                     stack.extend(reversed(node.element_children()))
 
     def prop_value(node: Element, seen: frozenset):
-        if node.hasAttribute("itemscope"):
+        attrs = node.attrs
+        if "itemscope" in attrs:
             if id(node) in seen:  # itemref cycle guard
                 return None
             sub = item_subject(node)
@@ -120,19 +119,19 @@ def extract_microdata(root: Element, base: str, bnodes) -> set:
             return sub
         tag = node.tag.lower()
         url_attr = _URL_PROP_TAGS.get(tag)
-        if url_attr is not None and node.hasAttribute(url_attr):
-            return iri(_resolve_iri(base, node.getAttribute(url_attr).strip()))
+        if url_attr is not None and url_attr in attrs:
+            return iri(_resolve_iri(base, attrs[url_attr].strip()))
         if tag == "meta":
-            return literal(node.getAttribute("content"))
-        if tag == "time" and node.hasAttribute("datetime"):
-            return literal(node.getAttribute("datetime"))
-        if tag in ("data", "meter") and node.hasAttribute("value"):
-            return literal(node.getAttribute("value"))
+            return literal(attrs.get("content", ""))
+        if tag == "time" and "datetime" in attrs:
+            return literal(attrs["datetime"])
+        if tag in ("data", "meter") and "value" in attrs:
+            return literal(attrs["value"])
         return literal(node.text_content())
 
     _root = root
     for el in root.iter_elements():
-        if el.hasAttribute("itemscope") and not el.hasAttribute("itemprop"):
+        if "itemscope" in el.attrs and "itemprop" not in el.attrs:
             # top-level item (property'd itemscopes are reached as values)
             process_item(el, item_subject(el), frozenset({id(el)}))
     return triples

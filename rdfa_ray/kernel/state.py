@@ -159,10 +159,15 @@ def _initial_context(host: str):
     return terms, ns, vocabulary
 
 
-# Built once; every root context copies ``terms`` and shares ``ns`` as its
-# (never mutated) ``default_prefixes``.
+# Built once; every root context shares ``terms`` and takes ``ns`` as its
+# ``default_prefixes`` (neither is ever mutated).
 _INITIAL_CONTEXTS = {host: _initial_context(host) for host in INITIAL_CONTEXTS}
 _NO_INITIAL_CONTEXT = ({}, {}, None)
+_TERMS_1_0 = {key: XHTML_URI + key for key in PREDEFINED_1_0_REL}
+
+
+# Attributes that give an element an evaluation context of its own.
+_CONTEXT_ATTRS = frozenset(("prefix", "vocab", "xmlns", "lang", "xml:lang", "xml:base"))
 
 
 def _declares_terms(attrs: dict) -> bool:
@@ -176,6 +181,29 @@ def _declares_terms(attrs: dict) -> bool:
     return False
 
 
+def changes_context(attrs: dict) -> bool:
+    """True when an element needs its own :class:`EvalState`: it declares
+    a prefix, a vocabulary, a namespace, a language or ``xml:base``.  For
+    any other element the reference's per-element context equals its
+    parent's, so the element evaluates on the parent's."""
+    if not _CONTEXT_ATTRS.isdisjoint(attrs):
+        return True
+    for name in attrs:
+        if name.startswith("xmlns:"):
+            return True
+    return False
+
+
+def html_base(root) -> str:
+    """The document base an HTML host takes from ``<base href>``: the last
+    such element's href without its fragment, or "" (state.py:186-190)."""
+    found = ""
+    for el in root.getElementsByTagName("base"):
+        if "href" in el.attrs:
+            found = _remove_frag_id(el.attrs["href"])
+    return found
+
+
 def _remove_frag_id(uri):
     try:
         t = urlparse(uri)
@@ -184,22 +212,30 @@ def _remove_frag_id(uri):
         return uri
 
 
-class ListStructure:
-    """Reference state.py:58-64."""
-
-    __slots__ = ("mapping", "origin")
-
-    def __init__(self):
-        self.mapping = {}
-        self.origin = None
+def add_to_list_mapping(mapping: dict, prop, resource) -> None:
+    """Reference state.py:527-549, over the walk's list-mapping dict."""
+    if prop in mapping:
+        if resource is not None:
+            if mapping[prop] is None:
+                mapping[prop] = [resource]
+            else:
+                mapping[prop].append(resource)
+    else:
+        mapping[prop] = [resource] if resource is not None else None
 
 
 class TermContext:
-    """Prefix/term/vocab environment at a node (``TermOrCurie``,
-    termorcurie.py:144-499)."""
+    """Prefix/term/vocab environment (``TermOrCurie``,
+    termorcurie.py:144-499).  Built for each element that declares
+    ``prefix``, ``vocab`` or ``xmlns:*``; every other context shares its
+    parent's, and a root that declares none of them shares one per host
+    language and RDFa version (:func:`root_terms`).  So a term context
+    holds nothing of its document: the resolution methods take the
+    evaluation context (for its options and bnodes) and the tag of the
+    element being resolved."""
 
     __slots__ = (
-        "state",
+        "v11",
         "default_curie_uri",
         "default_term_uri",
         "terms",
@@ -208,40 +244,34 @@ class TermContext:
         "xmlns",
     )
 
-    def __init__(self, state: "EvalState", graph: set, inherited_state: "EvalState | None"):
+    def __init__(self, state: "EvalState", node, graph: set, inherited: "TermContext | None"):
         options = state.options
+        v11 = self.v11 = state.rdfa_version >= "1.1"
+        attrs = node.attrs
+        tag = node.tag
 
         def check_prefix(pr):
             if pr in URI_SCHEMES:
-                options.add_warning(err_redefining_URI_as_prefix % pr, node=state.node.tag)
+                options.add_warning(err_redefining_URI_as_prefix % pr, node=tag)
 
         # ---- initial context (InitialContext, termorcurie.py:89-139) ----
-        if state.rdfa_version >= "1.1" and inherited_state is None:
+        if v11 and inherited is None:
             init_terms, init_ns, init_vocabulary = _INITIAL_CONTEXTS[options.host_language]
         else:
             init_terms, init_ns, init_vocabulary = _NO_INITIAL_CONTEXT
 
-        self.state = state
-
         # ---- default CURIE URI (termorcurie.py:188-194) ----
-        if inherited_state is None:
-            self.default_curie_uri = XHTML_URI
-        else:
-            self.default_curie_uri = inherited_state.term_or_curie.default_curie_uri
+        self.default_curie_uri = XHTML_URI if inherited is None else inherited.default_curie_uri
 
         # ---- default term URI / @vocab (termorcurie.py:196-221) ----
-        if state.rdfa_version >= "1.1":
-            if inherited_state is None:
-                self.default_term_uri = None
-            else:
-                self.default_term_uri = inherited_state.term_or_curie.default_term_uri
+        if v11:
+            self.default_term_uri = None if inherited is None else inherited.default_term_uri
             if init_vocabulary:
                 self.default_term_uri = init_vocabulary
-            node = state.node
-            if node.attrs.get("vocab") == "":
+            if attrs.get("vocab") == "":
                 self.default_term_uri = init_vocabulary
             else:
-                def_term = state.getURI("vocab")  # IRI tuple or None
+                def_term = state.getURI(node, "vocab")  # IRI tuple or None
                 if def_term is not None and def_term[1] != "":
                     self.default_term_uri = def_term[1]
                     graph.add((iri(state.base), RDFA_VOCAB_PRED, iri(def_term[1])))
@@ -249,63 +279,56 @@ class TermContext:
             self.default_term_uri = None
 
         # ---- terms (termorcurie.py:224-238) ----
-        if inherited_state is None:
-            if state.rdfa_version >= "1.1":
-                self.terms = dict(init_terms)
-            else:
-                self.terms = {key: XHTML_URI + key for key in PREDEFINED_1_0_REL}
+        # (never mutated, so every context shares one dict)
+        if inherited is None:
+            self.terms = init_terms if v11 else _TERMS_1_0
         else:
-            self.terms = inherited_state.term_or_curie.terms  # shared by reference
+            self.terms = inherited.terms
 
         # ---- local prefix declarations (termorcurie.py:241-321) ----
         local: dict[str, str] = {}
         xmlns_local: dict[str, str] = {}
-        node = state.node
-        for attr_name, attr_value in list(node.attrs.items()):
+        for attr_name, attr_value in list(attrs.items()):
             if attr_name.startswith("xmlns:"):
                 prefix = attr_name[6:]
                 if prefix == "":
                     continue
-                if state.rdfa_version >= "1.1" and options.host_language in WARN_XMLNS_USAGE:
+                if v11 and options.host_language in WARN_XMLNS_USAGE:
                     options.add_warning(
-                        err_xmlns_deprecated % prefix, IncorrectPrefixDefinition, node=node.tag
+                        err_xmlns_deprecated % prefix, IncorrectPrefixDefinition, node=tag
                     )
                 if prefix == "_":
-                    options.add_warning(
-                        err_bnode_local_prefix, IncorrectPrefixDefinition, node=node.tag
-                    )
+                    options.add_warning(err_bnode_local_prefix, IncorrectPrefixDefinition, node=tag)
                 elif ":" in prefix:
                     options.add_warning(
-                        err_col_local_prefix % prefix, IncorrectPrefixDefinition, node=node.tag
+                        err_col_local_prefix % prefix, IncorrectPrefixDefinition, node=tag
                     )
                 else:
                     uri = quote_uri(attr_value, options)
-                    pr = prefix.lower() if state.rdfa_version >= "1.1" else prefix
+                    pr = prefix.lower() if v11 else prefix
                     local[pr] = uri
                     xmlns_local[pr] = uri
                     check_prefix(pr)
 
-        if state.rdfa_version >= "1.1" and "prefix" in node.attrs:
-            pr = node.attrs["prefix"]
+        if v11 and "prefix" in attrs:
+            pr = attrs["prefix"]
             if pr is not None:
                 pr_list = pr.strip().split()
                 # parsed right-to-left (termorcurie.py:283)
                 for i in range(len(pr_list) - 2, -1, -2):
                     prefix = pr_list[i]
                     if i == len(pr_list) - 1:
-                        options.add_warning(err_missing_URI_prefix % (prefix, pr), node=node.tag)
+                        options.add_warning(err_missing_URI_prefix % (prefix, pr), node=tag)
                         break
                     value = pr_list[i + 1]
                     if prefix[-1] != ":":
                         options.add_warning(
-                            err_invalid_prefix % (prefix, pr),
-                            IncorrectPrefixDefinition,
-                            node=node.tag,
+                            err_invalid_prefix % (prefix, pr), IncorrectPrefixDefinition, node=tag
                         )
                         continue
                     elif prefix == ":":
                         options.add_warning(
-                            err_no_default_prefix % pr, IncorrectPrefixDefinition, node=node.tag
+                            err_no_default_prefix % pr, IncorrectPrefixDefinition, node=tag
                         )
                         continue
                     prefix = prefix[:-1]
@@ -314,7 +337,7 @@ class TermContext:
                         self.default_curie_uri = uri
                     elif prefix == "_":
                         options.add_warning(
-                            err_bnode_local_prefix, IncorrectPrefixDefinition, node=node.tag
+                            err_bnode_local_prefix, IncorrectPrefixDefinition, node=tag
                         )
                     else:
                         if NCNAME.match(prefix):
@@ -324,24 +347,23 @@ class TermContext:
                                 real_prefix in xmlns_local and xmlns_local[real_prefix] != uri
                             ):
                                 options.add_warning(
-                                    err_prefix_and_xmlns % (real_prefix, real_prefix),
-                                    node=node.tag,
+                                    err_prefix_and_xmlns % (real_prefix, real_prefix), node=tag
                                 )
                             check_prefix(real_prefix)
                         else:
                             options.add_warning(
                                 err_non_ncname_prefix % (prefix, pr),
                                 IncorrectPrefixDefinition,
-                                node=node.tag,
+                                node=tag,
                             )
 
         # ---- merge with inherited (termorcurie.py:322-341) ----
-        if inherited_state is None:
+        if inherited is None:
             self.default_prefixes = init_ns  # prefix -> uri (1.0: empty)
             inherited_prefixes: dict[str, str] = {}
         else:
-            self.default_prefixes = inherited_state.term_or_curie.default_prefixes
-            inherited_prefixes = inherited_state.term_or_curie.ns
+            self.default_prefixes = inherited.default_prefixes
+            inherited_prefixes = inherited.ns
 
         if not local:
             self.ns = inherited_prefixes
@@ -352,61 +374,44 @@ class TermContext:
                     key in self.default_prefixes and uri != self.default_prefixes[key]
                 ):
                     options.add_warning(
-                        err_prefix_redefinition % key, PrefixRedefinitionWarning, node=node.tag
+                        err_prefix_redefinition % key, PrefixRedefinitionWarning, node=tag
                     )
                 self.ns[key] = uri
 
         # ---- xmlns map for XML literal generation (termorcurie.py:344-353)
-        if not xmlns_local and inherited_state is not None:
-            self.xmlns = inherited_state.term_or_curie.xmlns
-        elif inherited_state is not None:
-            self.xmlns = dict(inherited_state.term_or_curie.xmlns)
-            self.xmlns.update(xmlns_local)
-        else:
+        if inherited is None:
             self.xmlns = xmlns_local
-
-    def derive(self, state: "EvalState") -> "TermContext":
-        """The context of a child element that declares no ``prefix``,
-        ``vocab`` or ``xmlns:*``: the same environment, bound to the
-        child's state (what ``__init__`` computes for such a node)."""
-        ctx = TermContext.__new__(TermContext)
-        ctx.state = state
-        ctx.default_curie_uri = self.default_curie_uri
-        ctx.default_term_uri = self.default_term_uri
-        ctx.terms = self.terms
-        ctx.ns = self.ns
-        ctx.default_prefixes = self.default_prefixes
-        ctx.xmlns = self.xmlns
-        return ctx
+        elif not xmlns_local:
+            self.xmlns = inherited.xmlns
+        else:
+            self.xmlns = dict(inherited.xmlns)
+            self.xmlns.update(xmlns_local)
 
     # ---- CURIE reference validity (termorcurie.py:356-376) ----
-    def _check_reference(self, val: str) -> bool:
+    def _check_reference(self, val: str, state, tag: str) -> bool:
         def char_check(s, not_allowed=("#", "[", "]")):
             return not any(c in s for c in not_allowed)
 
         scheme, netloc, url, query, fragment = urlsplit("http:" + val)
-        if netloc != "" and self.state.rdfa_version >= "1.1":
-            self.state.options.add_warning(
-                err_absolute_reference % (netloc, val), UnresolvableReference,
-                node=self.state.node.tag,
+        if netloc != "" and self.v11:
+            state.options.add_warning(
+                err_absolute_reference % (netloc, val), UnresolvableReference, node=tag
             )
             return False
         elif not char_check(query):
-            self.state.options.add_warning(
-                err_query_reference % (query, val), UnresolvableReference,
-                node=self.state.node.tag,
+            state.options.add_warning(
+                err_query_reference % (query, val), UnresolvableReference, node=tag
             )
             return False
         elif not char_check(fragment):
-            self.state.options.add_warning(
-                err_fragment_reference % (fragment, val), UnresolvableReference,
-                node=self.state.node.tag,
+            state.options.add_warning(
+                err_fragment_reference % (fragment, val), UnresolvableReference, node=tag
             )
             return False
         return True
 
     # ---- CURIE -> term (termorcurie.py:378-465) ----
-    def CURIE_to_URI(self, val: str):
+    def CURIE_to_URI(self, val: str, state, tag: str):
         if val == "":
             return None
         elif val == ":":
@@ -417,24 +422,21 @@ class TermContext:
         curie_split = val.split(":", 1)
         if len(curie_split) == 1:
             return None
-        if self.state.rdfa_version >= "1.1":
-            prefix = curie_split[0].lower()
-        else:
-            prefix = curie_split[0]
+        prefix = curie_split[0].lower() if self.v11 else curie_split[0]
         reference = curie_split[1]
 
         if len(prefix) == 0:
-            if self.default_curie_uri and self._check_reference(reference):
+            if self.default_curie_uri and self._check_reference(reference, state, tag):
                 return iri(self.default_curie_uri + reference)
             return None
         if prefix == "_":
-            return self.state.bnodes.for_curie_ref(reference)
+            return state.bnodes.for_curie_ref(reference)
         if NCNAME.match(prefix):
-            if prefix in self.ns and self._check_reference(reference):
+            if prefix in self.ns and self._check_reference(reference, state, tag):
                 if len(reference) == 0:
                     return iri(self.ns[prefix])
                 return iri(self.ns[prefix] + reference)
-            elif prefix in self.default_prefixes and self._check_reference(reference):
+            elif prefix in self.default_prefixes and self._check_reference(reference, state, tag):
                 if len(reference) == 0:
                     return iri(self.default_prefixes[prefix])
                 return iri(self.default_prefixes[prefix] + reference)
@@ -458,23 +460,40 @@ class TermContext:
         return None
 
 
+_ROOT_TERMS: dict = {}
+
+
+def root_terms(state: "EvalState", node) -> TermContext:
+    """The term context of a root that declares no ``prefix``, ``vocab``
+    or ``xmlns:*``: the host's initial context, the same for every such
+    document of one host language and RDFa version."""
+    key = (state.options.host_language, state.rdfa_version >= "1.1")
+    ctx = _ROOT_TERMS.get(key)
+    if ctx is None:
+        ctx = _ROOT_TERMS[key] = TermContext(state, node, set(), None)
+    return ctx
+
+
 class EvalState:
-    """Per-node execution context (``ExecutionContext``, state.py:67-267)."""
+    """An evaluation context (``ExecutionContext``, state.py:67-267).
+
+    The walk builds one for the document root and one for each element
+    that :func:`changes_context`; every other element evaluates on its
+    parent's.  So a context holds no element: :meth:`getURI` and
+    :meth:`getResource` take the element whose attribute values they
+    resolve and whose tag their diagnostics name.  The list mapping is not
+    part of a context either; the walk carries it per element."""
 
     _list_attrs = frozenset(["rel", "rev", "property", "typeof", "role"])
 
     __slots__ = (
-        "node",
         "options",
         "bnodes",
         "rdfa_version",
         "base",
         "parsed_base",
-        "list_mapping",
-        "new_list",
         "term_or_curie",
         "lang",
-        "supress_lang",
         "defaultNS",
     )
 
@@ -488,21 +507,19 @@ class EvalState:
         rdfa_version: str | None = None,
         bnodes: BnodeGen | None = None,
     ):
-        self.node = node
+        """A child context of ``inherited_state`` for ``node``, or, without
+        one, the root context.  For an HTML host the root's ``base`` is the
+        document base with ``<base href>`` already applied (:func:`html_base`)."""
         attrs = node.attrs
 
         if inherited_state is not None:
             self.rdfa_version = inherited_state.rdfa_version
-            self.base = inherited_state.base
-            self.options = inherited_state.options
+            self.options = options = inherited_state.options
             self.bnodes = inherited_state.bnodes
-            self.list_mapping = inherited_state.list_mapping
-            self.new_list = False
-            if self.options.host_language in ACCEPT_XML_BASE and "xml:base" in attrs:
+            self.base = inherited_state.base
+            if "xml:base" in attrs and options.host_language in ACCEPT_XML_BASE:
                 self.base = _remove_frag_id(attrs["xml:base"])
         else:
-            self.list_mapping = ListStructure()
-            self.new_list = True
             self.options = options
             self.bnodes = bnodes if bnodes is not None else BnodeGen()
             self.rdfa_version = rdfa_version if rdfa_version is not None else "1.1"
@@ -516,145 +533,124 @@ class EvalState:
                     self.rdfa_version = "1.1"
 
             self.base = ""
-            if self.options.host_language in HTML_HOSTS:
-                for bases in node.getElementsByTagName("base"):
-                    if bases.hasAttribute("href"):
-                        self.base = _remove_frag_id(bases.getAttribute("href"))
-                        continue
-            elif self.options.host_language in ACCEPT_XML_BASE and "xml:base" in attrs:
+            host = options.host_language
+            if host not in HTML_HOSTS and host in ACCEPT_XML_BASE and "xml:base" in attrs:
                 self.base = _remove_frag_id(attrs["xml:base"])
             if self.base == "":
                 self.base = base
 
-        self.parsed_base = urlsplit(self.base)
-        if inherited_state is not None and not _declares_terms(attrs):
-            self.term_or_curie = inherited_state.term_or_curie.derive(self)
+        if inherited_state is not None and self.base is inherited_state.base:
+            self.parsed_base = inherited_state.parsed_base
         else:
-            self.term_or_curie = TermContext(self, graph, inherited_state)
+            self.parsed_base = urlsplit(self.base)
+        if _declares_terms(attrs):
+            self.term_or_curie = TermContext(
+                self, node, graph,
+                inherited_state.term_or_curie if inherited_state is not None else None,
+            )
+        elif inherited_state is not None:
+            self.term_or_curie = inherited_state.term_or_curie
+        else:
+            self.term_or_curie = root_terms(self, node)
 
         # ---- language (state.py:218-257) ----
-        if inherited_state is not None:
-            self.lang = inherited_state.lang
-        else:
-            self.lang = None
-        self.supress_lang = False
-
-        if self.options.host_language in HTML_HOSTS:
+        self.lang = inherited_state.lang if inherited_state is not None else None
+        if options.host_language in HTML_HOSTS:
             if "xml:lang" in attrs:
                 xmllang = attrs["xml:lang"].lower()
                 self.lang = xmllang if len(xmllang) != 0 else None
             elif "lang" in attrs:
                 lang = attrs["lang"].lower()
                 self.lang = lang if len(lang) != 0 else None
-        elif self.options.host_language in ACCEPT_XML_LANG and "xml:lang" in attrs:
-            self.lang = attrs["xml:lang"].lower()
-            if len(self.lang) == 0:
-                self.lang = None
+        elif options.host_language in ACCEPT_XML_LANG and "xml:lang" in attrs:
+            self.lang = attrs["xml:lang"].lower() or None
 
         # ---- default namespace for XML literals (state.py:260-266) ----
         if "xmlns" in attrs:
             self.defaultNS = attrs["xmlns"]
-        elif inherited_state is not None and inherited_state.defaultNS is not None:
+        elif inherited_state is not None:
             self.defaultNS = inherited_state.defaultNS
         else:
             self.defaultNS = None
 
     # ---- URI resolution (state.py:269-339) ----
-    def _URI(self, val: str):
-        def create(uri, check=True):
-            v = uri.strip()
-            if check and urlsplit(v)[0] not in URI_SCHEMES:
-                self.options.add_warning(err_URI_scheme % v.strip(), node=self.node.tag)
-            return iri(v)
-
-        def join(base, v, check=True):
-            joined = urljoin(base, v)
-            try:
-                if v[-1] != joined[-1] and (v[-1] == "#" or v[-1] == "?"):
-                    return create(joined + v[-1], check)
-                else:
-                    return create(joined, check)
-            except Exception:
-                return create(joined, check)
-
+    def _URI(self, val: str, tag: str):
         if val == "":
-            return iri(self.base)
-
-        if self.parsed_base[0] == "":
+            return (IRI, self.base)
+        check = True
+        if self.parsed_base[0] == "" and urlsplit(val)[0] != "":
             # base is a local identifier / empty-scheme; see state.py:321-332
-            key = urlsplit(val)[0]
-            if key == "":
-                return join(self.base, val, check=False)
-            else:
-                return create(val)
+            v = val
         else:
-            return join(self.base, val)
+            check = self.parsed_base[0] != ""
+            v = urljoin(self.base, val)
+            # urljoin drops an empty fragment or query; keep it (state.py:301-313)
+            last = val[-1]
+            if (last == "#" or last == "?") and v and v[-1] != last:
+                v += last
+        v = v.strip()
+        if check and urlsplit(v)[0] not in URI_SCHEMES:
+            self.options.add_warning(err_URI_scheme % v, node=tag)
+        return (IRI, v)
 
     # ---- CURIE-or-URI (state.py:341-387) ----
-    def _CURIEorURI(self, val: str):
+    def _CURIEorURI(self, val: str, tag: str):
         if val == "":
-            return iri(self.base)
+            return (IRI, self.base)
+        if ":" not in val and val[0] != "[":
+            return self._URI(val, tag)  # no CURIE without a colon
 
         safe_curie = False
         if val[0] == "[":
             if val[-1] != "]":
-                self.options.add_warning(
-                    err_illegal_safe_CURIE % val, UnresolvablePrefix, node=self.node.tag
-                )
+                self.options.add_warning(err_illegal_safe_CURIE % val, UnresolvablePrefix, node=tag)
                 return None
             val = val[1:-1]
             safe_curie = True
 
         if self.rdfa_version >= "1.1":
-            retval = self.term_or_curie.CURIE_to_URI(val)
+            retval = self.term_or_curie.CURIE_to_URI(val, self, tag)
             if retval is None:
                 if safe_curie:
                     self.options.add_warning(
-                        err_no_CURIE_in_safe_CURIE % val, UnresolvablePrefix, node=self.node.tag
+                        err_no_CURIE_in_safe_CURIE % val, UnresolvablePrefix, node=tag
                     )
                     return None
-                return self._URI(val)
+                return self._URI(val, tag)
             # relative-URI filter (state.py:376-378)
             if retval[0] != BNODE and urlsplit(retval[1])[0] == "":
                 return iri(self.base + retval[1])
             return retval
         else:
             if safe_curie:
-                return self.term_or_curie.CURIE_to_URI(val)
-            return self._URI(val)
+                return self.term_or_curie.CURIE_to_URI(val, self, tag)
+            return self._URI(val, tag)
 
     # ---- TERM-or-CURIE-or-AbsURI (state.py:389-430) ----
-    def _TERMorCURIEorAbsURI(self, val: str):
+    def _TERMorCURIEorAbsURI(self, val: str, tag: str):
         if val == "":
             return None
         if TERMNAME.match(val):
             retval = self.term_or_curie.term_to_URI(val)
             if not retval:
                 self.options.add_warning(
-                    err_undefined_terms % val,
-                    UnresolvableTerm,
-                    node=self.node.tag,
-                    buggy_value=val,
+                    err_undefined_terms % val, UnresolvableTerm, node=tag, buggy_value=val
                 )
                 return None
             return retval
-        retval = self.term_or_curie.CURIE_to_URI(val)
+        retval = self.term_or_curie.CURIE_to_URI(val, self, tag)
         if retval:
             return retval
         elif self.rdfa_version >= "1.1":
             scheme = urlsplit(val)[0]
             if scheme == "":
-                self.options.add_warning(
-                    err_non_legal_CURIE_ref % val, UnresolvablePrefix, node=self.node.tag
-                )
+                self.options.add_warning(err_non_legal_CURIE_ref % val, UnresolvablePrefix, node=tag)
                 return None
             if scheme not in URI_SCHEMES:
-                self.options.add_warning(err_URI_scheme % val.strip(), node=self.node.tag)
+                self.options.add_warning(err_URI_scheme % val.strip(), node=tag)
             return iri(val)
         else:
-            self.options.add_warning(
-                err_undefined_CURIE % val.strip(), UnresolvablePrefix, node=self.node.tag
-            )
+            self.options.add_warning(err_undefined_CURIE % val.strip(), UnresolvablePrefix, node=tag)
             return None
 
     _resource_type = {
@@ -672,58 +668,29 @@ class EvalState:
     }
 
     # ---- getURI / getResource (state.py:434-482) ----
-    def getURI(self, attr: str):
-        attrs = self.node.attrs
-        if attr in attrs:
-            val = attrs[attr]
-        else:
-            return [] if attr in EvalState._list_attrs else None
-
-        func = EvalState._resource_type.get(attr, EvalState._URI)
+    def getURI(self, node, attr: str):
+        """``node``'s ``attr`` resolved in this context: a list of terms for
+        the list-valued attributes, else one term or None."""
+        val = node.attrs.get(attr)
         if attr in EvalState._list_attrs:
-            resources = [func(self, v.strip()) for v in val.strip().split()]
-            return [r for r in resources if r is not None]
-        return func(self, val.strip())
-
-    def getResource(self, *args):
-        if len(args) == 0:
+            resources = []
+            if val is not None:
+                func = EvalState._resource_type[attr]
+                tag = node.tag
+                for v in val.split():
+                    r = func(self, v, tag)
+                    if r is not None:
+                        resources.append(r)
+            return resources
+        if val is None:
             return None
-        if isinstance(args[0], (tuple, list)):
-            rargs = args[0]
-        else:
-            rargs = args
-        for resource in rargs:
-            uri = self.getURI(resource)
-            if uri is not None:
-                return uri
+        return EvalState._resource_type.get(attr, EvalState._URI)(self, val.strip(), node.tag)
+
+    def getResource(self, node, *names):
+        attrs = node.attrs
+        for name in names:
+            if name in attrs:
+                uri = self.getURI(node, name)
+                if uri is not None:
+                    return uri
         return None
-
-    # ---- list mapping (state.py:485-549) ----
-    def reset_list_mapping(self, origin=None):
-        self.list_mapping = ListStructure()
-        if origin:
-            self.list_mapping.origin = origin
-        self.new_list = True
-
-    def list_empty(self):
-        return len(self.list_mapping.mapping) == 0
-
-    def get_list_props(self):
-        return list(self.list_mapping.mapping.keys())
-
-    def get_list_value(self, prop):
-        return self.list_mapping.mapping[prop]
-
-    def get_list_origin(self):
-        return self.list_mapping.origin
-
-    def add_to_list_mapping(self, property, resource):
-        mapping = self.list_mapping.mapping
-        if property in mapping:
-            if resource is not None:
-                if mapping[property] is None:
-                    mapping[property] = [resource]
-                else:
-                    mapping[property].append(resource)
-        else:
-            mapping[property] = [resource] if resource is not None else None

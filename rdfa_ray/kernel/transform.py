@@ -1,8 +1,9 @@
 """DOM pre-transforms applied before the walk.
 
-Built-ins (always run, reference ``transform/__init__.py`` +
-``__init__.py:350-352``): ``empty_safe_curie``, ``top_about``,
-``vocab_for_role``.  Host transforms (html5/xhtml5:
+Built-ins (reference ``transform/__init__.py`` +
+``__init__.py:350-352``): ``empty_safe_curie`` and ``vocab_for_role``,
+fused into one pass that runs on the documents that can trigger it,
+and ``top_about``.  Host transforms (html5/xhtml5:
 ``host/html5.py:157-224``; atom: ``host/atom.py:19-29``) run per-node
 during the walk.  Opt-ins: ``meta_transform``
 (``transform/metaname.py``), OpenID and DublinCore rewrites, RDFa Lite
@@ -14,103 +15,51 @@ from __future__ import annotations
 import re
 from datetime import datetime
 
-from ..dom.node import Element
+from ..dom.sniff import HostLanguage
 from .context import XHTML_URI
 from .state import TERMNAME
 
 # ---------------------------------------------------------------------------
 # Built-in transformers (run on the whole tree before the walk)
 
-
-def _has_one_of(node, *names) -> bool:
-    return any(node.hasAttribute(n) for n in names)
+_SUBJECT_ATTRS = frozenset(("href", "resource", "about", "src"))
+_OBJECT_ATTRS = frozenset(("resource", "href", "src"))
+_PREDICATE_ATTRS = frozenset(("rel", "rev", "property"))
 
 
 def top_about(root, options, state) -> None:
     """Reference transform/__init__.py:22-59."""
-
-    def set_about(node):
-        if _has_one_of(node, "rel", "rev"):
-            if not _has_one_of(node, "about", "src"):
-                node.setAttribute("about", "")
-        else:
-            if not _has_one_of(node, "href", "resource", "about", "src"):
-                node.setAttribute("about", "")
-
-    from ..dom.sniff import HostLanguage
-
-    if not _has_one_of(root, "about"):
-        if _has_one_of(root, "resource", "href", "src"):
-            if _has_one_of(root, "rel", "rev", "property"):
-                root.setAttribute("about", "")
-        else:
-            root.setAttribute("about", "")
+    attrs = root.attrs
+    if "about" not in attrs:
+        if _OBJECT_ATTRS.isdisjoint(attrs) or not _PREDICATE_ATTRS.isdisjoint(attrs):
+            attrs["about"] = ""
 
     if options.host_language in (HostLanguage.xhtml, HostLanguage.html5, HostLanguage.xhtml5):
-        if state.rdfa_version >= "1.1":
-            pass
-        else:
-            for top in root.getElementsByTagName("head"):
-                if not _has_one_of(top, "href", "resource", "about", "src"):
-                    set_about(top)
-            for top in root.getElementsByTagName("body"):
-                if not _has_one_of(top, "href", "resource", "about", "src"):
-                    set_about(top)
-
-
-def empty_safe_curie(node, options, state) -> None:
-    """Reference transform/__init__.py:62-87 (iterative here)."""
-
-    def prune(el, name):
-        if el.hasAttribute(name) and el.getAttribute(name) == "[]":
-            el.removeAttribute(name)
-            el.setAttribute(name + "_pruned", "")
-            options.add_warning(
-                "Attribute @%s uses an empty safe CURIE; the attribute is ignored" % name,
-                node=el.tag,
-            )
-
-    for el in node.iter_elements():
-        prune(el, "about")
-        prune(el, "resource")
-
-
-def vocab_for_role(node, options, state) -> None:
-    """Reference transform/__init__.py:89-117 (iterative here)."""
-    for el in node.iter_elements():
-        if el.hasAttribute("role"):
-            new_values = ""
-            for val in el.getAttribute("role").strip().split():
-                if TERMNAME.match(val):
-                    new_values += XHTML_URI + val + " "
-                else:
-                    new_values += val + " "
-            el.setAttribute("role", new_values.strip())
+        if state.rdfa_version < "1.1":
+            # RDFa 1.0: a <head>/<body> without a subject or object of its
+            # own gets about="" (set_about, transform/__init__.py:26-35)
+            for tag in ("head", "body"):
+                for top in root.getElementsByTagName(tag):
+                    if _SUBJECT_ATTRS.isdisjoint(top.attrs):
+                        top.attrs["about"] = ""
 
 
 def fused_builtin_scan(root, options, state) -> None:
-    """One tree pass applying ``empty_safe_curie`` + ``vocab_for_role``
-    (their per-element effects are independent and order-free); the
-    separate transformers each walked the whole tree — this halves the
-    always-run pre-walk traversals.  ``top_about`` stays separate: its
-    hot path touches only the root (full scans only for the rare
-    RDFa-1.0 html head/body case)."""
-
-    def prune(el, name):
-        if el.getAttribute(name) == "[]":
-            el.removeAttribute(name)
-            el.setAttribute(name + "_pruned", "")
-            options.add_warning(
-                "Attribute @%s uses an empty safe CURIE; the attribute is ignored" % name,
-                node=el.tag,
-            )
-
+    """One tree pass applying the reference's ``empty_safe_curie``
+    (transform/__init__.py:62-87) and ``vocab_for_role`` (:89-117); their
+    per-element effects are independent and order-free.  ``top_about``
+    stays separate: it touches only the root (and, in RDFa 1.0, the html
+    head and body)."""
     for el in root.iter_elements():
         attrs = el.attrs
-        if "about" in attrs:
-            prune(el, "about")
-        if "resource" in attrs:
-            prune(el, "resource")
+        for name in ("about", "resource"):
+            if attrs.get(name) == "[]":
+                del attrs[name]
+                attrs[name + "_pruned"] = ""
+                options.add_warning(
+                    "Attribute @%s uses an empty safe CURIE; the attribute is ignored" % name,
+                    node=el.tag,
+                )
         role = attrs.get("role")
         if role:
             new_values = ""
@@ -119,13 +68,7 @@ def fused_builtin_scan(root, options, state) -> None:
                     new_values += XHTML_URI + val + " "
                 else:
                     new_values += val + " "
-            el.setAttribute("role", new_values.strip())
-
-
-# the fused scan preserves the reference's transformer ORDER semantics
-# (empty_safe_curie -> top_about -> vocab_for_role): top_about only
-# touches root/head/body attributes none of the fused effects read.
-BUILTIN_TRANSFORMERS = (fused_builtin_scan, top_about)
+            attrs["role"] = new_values.strip()
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +118,23 @@ def _try_formats(string, formats):
     return False
 
 
+_FORMAT_MEMO: dict = {}
+_FORMAT_MEMO_CAP = 4096
+
+
 def format_test(string: str) -> str:
-    """Sniff the xsd datatype of a time-ish string (host/html5.py:66-155)."""
+    """Sniff the xsd datatype of a time-ish string (host/html5.py:66-155).
+    Pure, and the same date and time strings recur across documents, so
+    results are memoized in a bounded per-process dict."""
+    hit = _FORMAT_MEMO.get(string)
+    if hit is None:
+        if len(_FORMAT_MEMO) >= _FORMAT_MEMO_CAP:
+            _FORMAT_MEMO.clear()
+        hit = _FORMAT_MEMO[string] = _format_test(string)
+    return hit
+
+
+def _format_test(string: str) -> str:
     for key, formats in _FORMATS.items():
         if _try_formats(string, formats):
             return key
@@ -211,62 +169,78 @@ _WS_RE = re.compile(r"(\r| |\n|\t)+")
 
 
 def html5_extra_attributes(node, state) -> None:
-    """Reference host/html5.py:157-201."""
-
-    def _set_time(value):
-        if not node.hasAttribute("datatype"):
-            dt = format_test(value)
-            if dt != PLAIN:
-                node.setAttribute("datatype", dt)
-        node.setAttribute("content", value)
-
-    if not node.hasAttribute("content"):
-        if node.hasAttribute("datetime"):
-            _set_time(node.getAttribute("datetime"))
-        elif node.hasAttribute("dateTime"):
-            _set_time(node.getAttribute("dateTime"))
-        elif node.tag == "time":
-            txt = node.text_content()
-            if not state.options.space_preserve:
-                txt = _WS_RE.sub(" ", txt).strip()
-            _set_time(txt)
+    """Reference host/html5.py:157-201: a ``datetime`` or a ``<time>``'s
+    text becomes ``@content``, with the sniffed ``@datatype``."""
+    attrs = node.attrs
+    if "content" in attrs:
+        return
+    if "datetime" in attrs:
+        value = attrs["datetime"]
+    elif "dateTime" in attrs:
+        value = attrs["dateTime"]
+    elif node.tag == "time":
+        value = node.text_content()
+        if not state.options.space_preserve:
+            value = _WS_RE.sub(" ", value).strip()
+    else:
+        return
+    if "datatype" not in attrs:
+        dt = format_test(value)
+        if dt != PLAIN:
+            attrs["datatype"] = dt
+    attrs["content"] = value
 
 
 def remove_rel(node, state) -> None:
-    """Reference host/html5.py:203-224."""
-
-    def _massage(attr):
-        if node.hasAttribute("property") and node.hasAttribute(attr):
-            vals = node.getAttribute(attr).strip().split()
+    """Reference host/html5.py:203-224: next to ``@property``, a term in
+    ``@rel``/``@rev`` is dropped (and an attribute left empty with it)."""
+    attrs = node.attrs
+    if "property" not in attrs:
+        return
+    for attr in ("rev", "rel"):
+        if attr in attrs:
+            vals = attrs[attr].split()
             if vals:
                 final_vals = [v for v in vals if not TERMNAME.match(v)]
                 if not final_vals:
-                    node.removeAttribute(attr)
+                    del attrs[attr]
                 else:
-                    node.setAttribute(attr, " ".join(final_vals))
+                    attrs[attr] = " ".join(final_vals)
 
-    _massage("rev")
-    _massage("rel")
+
+def html5_host_transform(node, state) -> None:
+    """Both HTML5 host transforms, in the reference's order, each on the
+    elements it can act on."""
+    attrs = node.attrs
+    if "content" not in attrs and (
+            "datetime" in attrs or "dateTime" in attrs or node.tag == "time"):
+        html5_extra_attributes(node, state)
+    if "property" in attrs and ("rel" in attrs or "rev" in attrs):
+        remove_rel(node, state)
 
 
 def atom_add_entry_type(node, state) -> None:
     """Reference host/atom.py:19-29."""
-    if (
-        node.tag == "entry"
-        and not _has_one_of(node, "resource", "about", "href", "src")
-        and not node.hasAttribute("typeof")
-    ):
-        node.setAttribute("typeof", "")
+    if node.tag == "entry" and _SUBJECT_ATTRS.isdisjoint(node.attrs) \
+            and "typeof" not in node.attrs:
+        node.attrs["typeof"] = ""
 
 
-def host_transforms_for(host_language):
-    from ..dom.sniff import HostLanguage
+_HTML5_TRIGGERS = (html5_host_transform, frozenset(("time",)),
+                   frozenset(("datetime", "dateTime", "rel", "rev")))
+_ATOM_TRIGGERS = (atom_add_entry_type, frozenset(("entry",)), frozenset())
+_NO_TRIGGERS = (None, frozenset(), frozenset())
 
+
+def host_transform_for(host_language):
+    """``(transform, tags, attribute names)``: the per-element host
+    transform of a host language (or None) and the tags and attribute
+    names without which it cannot act on an element."""
     if host_language in (HostLanguage.html5, HostLanguage.xhtml5):
-        return (html5_extra_attributes, remove_rel)
+        return _HTML5_TRIGGERS
     if host_language == HostLanguage.atom:
-        return (atom_add_entry_type,)
-    return ()
+        return _ATOM_TRIGGERS
+    return _NO_TRIGGERS
 
 
 # ---------------------------------------------------------------------------
@@ -277,46 +251,43 @@ def host_transforms_for(host_language):
 def meta_transform(root, options, state) -> None:
     """<meta name=...> -> @property (transform/metaname.py:14-28)."""
     for meta in root.getElementsByTagName("meta"):
-        if meta.hasAttribute("name") and not meta.hasAttribute("property"):
-            meta.setAttribute("property", meta.getAttribute("name"))
+        attrs = meta.attrs
+        if "name" in attrs and "property" not in attrs:
+            attrs["property"] = attrs["name"]
 
 
 def openid_transform(root, options, state) -> None:
     """rel="openid.X" -> openid:X + ns decl (transform/OpenID.py:24-63)."""
     found = False
     for link in root.getElementsByTagName("link"):
-        if link.hasAttribute("rel") and "openid." in link.getAttribute("rel"):
-            rel = link.getAttribute("rel")
-            link.setAttribute("rel", rel.replace("openid.", "openid:"))
+        rel = link.attrs.get("rel")
+        if rel is not None and "openid." in rel:
+            link.attrs["rel"] = rel.replace("openid.", "openid:")
             found = True
     if found:
-        root.setAttribute("xmlns:openid", "http://xmlns.openid.net/auth#")
+        root.attrs["xmlns:openid"] = "http://xmlns.openid.net/auth#"
 
 
 def dublincore_transform(root, options, state) -> None:
     """Dublin Core link/meta rewrite (transform/DublinCore.py:25-96)."""
     dc_prefixes = {}
     for link in root.getElementsByTagName("link"):
-        rel = link.getAttribute("rel") if link.hasAttribute("rel") else ""
-        if rel.startswith("schema.") and link.hasAttribute("href"):
+        rel = link.attrs.get("rel", "")
+        if rel.startswith("schema.") and "href" in link.attrs:
             prefix = rel[len("schema."):]
             if prefix:
-                dc_prefixes[prefix] = link.getAttribute("href")
-                root.setAttribute("xmlns:%s" % prefix, link.getAttribute("href"))
+                dc_prefixes[prefix] = link.attrs["href"]
+                root.attrs["xmlns:%s" % prefix] = link.attrs["href"]
     if not dc_prefixes:
         return
     for tagname in ("link", "meta"):
         for el in root.getElementsByTagName(tagname):
             for attr in ("rel", "rev", "name"):
-                if el.hasAttribute(attr):
-                    val = el.getAttribute(attr)
-                    parts = val.split(".", 1)
+                if attr in el.attrs:
+                    parts = el.attrs[attr].split(".", 1)
                     if len(parts) == 2 and parts[0] in dc_prefixes:
                         curie = "%s:%s" % (parts[0], parts[1])
-                        if attr == "name":
-                            el.setAttribute("property", curie)
-                        else:
-                            el.setAttribute(attr, curie)
+                        el.attrs["property" if attr == "name" else attr] = curie
 
 
 _LITE_ATTRS = frozenset(["rel", "rev", "about", "content", "datatype", "inlist"])

@@ -1,12 +1,36 @@
-"""The RDFa evaluation-context walk and the per-document ``distill``
-entry point.
+"""The RDFa walk and the per-document ``distill`` entry point.
 
-Faithful reimplementation of the recursive procedure in
-``/root/reference/pyRdfa/parse.py`` (``_parse_1_1`` /
-``_parse_1_0``) and the orchestration in
-``__init__.py:471-544`` (``graph_from_DOM``), rewritten as an
-*iterative* walk with an explicit frame stack so adversarially deep
-documents cannot hit Python's recursion limit (SURVEY.md §4.3).
+Reimplements the recursive procedure of ``/root/reference/pyRdfa/parse.py``
+(``_parse_1_1`` / ``_parse_1_0``) and the orchestration of
+``__init__.py:471-544`` (``graph_from_DOM``) as an *iterative* walk over an
+explicit stack, so adversarially deep documents cannot hit Python's
+recursion limit (SURVEY.md §4.3).
+
+A document pays only for the markup it has:
+
+* **Contexts on change.**  The reference builds an evaluation context per
+  element.  Here an element gets its own :class:`~.state.EvalState` only
+  when :func:`~.state.changes_context` (it declares a prefix, vocabulary,
+  namespace, language or ``xml:base``); any other element evaluates on
+  its parent's, which is exactly what its own would hold.  That includes
+  the document root: the root context is built once, and the root
+  element gets a second one only when it declares something, as the
+  reference does (so a prefix warning on ``<html>`` is still emitted
+  twice).
+* **The list mapping travels with the walk**: a dict that an element
+  replaces when it sets a new subject.  An element gets an exit step only
+  when it has a list to close or its parent's incomplete triples to
+  complete.
+* **Gates.**  The whole-tree pre-walk passes and the embedded-RDF handler
+  run only on documents whose text can trigger them
+  (:func:`_document_gates`, which answers True whenever in doubt).  The
+  per-element handlers (``@role``, the host transforms, the RDFa step)
+  run on the elements whose attribute keys or tag can trigger them.
+
+Stack frames are tuples: ``(element, parent_object, context,
+parent_incomplete, list_mapping)`` to enter an element, and
+``(None, subject, parent_incomplete, parent_list_mapping, own_list_mapping,
+list_origin)`` to leave one.
 """
 
 from __future__ import annotations
@@ -14,16 +38,26 @@ from __future__ import annotations
 from ..dom.node import Element
 from ..dom.sniff import HostLanguage, parse_document
 from ..rdf.terms import BNODE, RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, RDFA_COPY, RDFA_PATTERN, iri
+from .context import HTML_HOSTS, REQUIRE_EMBEDDED_RDF
 from .embedded import handle_embedded_rdf
-from .literals import ProcessProperty
+from .literals import property_1_0, property_1_1
 from .options import IncorrectBlankNodeUsage, KernelOptions, NonConformantMarkup
-from .state import BnodeGen, EvalState, err_no_blank_node
-from .transform import BUILTIN_TRANSFORMERS, host_transforms_for
+from .state import BnodeGen, EvalState, add_to_list_mapping, changes_context, err_no_blank_node, html_base
+from .transform import fused_builtin_scan, host_transform_for, lite_prune, top_about
 
-_RDFA_ATTRS_1_1 = (
-    "href", "resource", "about", "property", "rel", "rev", "typeof", "src", "vocab", "prefix",
+_RDFA_ATTRS_1_1 = frozenset(
+    ("href", "resource", "about", "property", "rel", "rev", "typeof", "src", "vocab", "prefix")
 )
-_RDFA_ATTRS_1_0 = ("href", "resource", "about", "property", "rel", "rev", "typeof", "src")
+_RDFA_ATTRS_1_0 = frozenset(("href", "resource", "about", "property", "rel", "rev", "typeof", "src"))
+_LITERAL_ATTRS = frozenset(("content", "datatype"))
+_SUBJECT_ATTRS = frozenset(("about", "resource", "src", "href"))
+_HEADER_HOSTS = frozenset((HostLanguage.xhtml, HostLanguage.html5, HostLanguage.xhtml5))
+_XHV_ROLE = iri("http://www.w3.org/1999/xhtml/vocab#role")
+
+# Tags that need per-node processing even with zero attributes:
+# <script> (embedded turtle skip), <time> (T4 content synthesis),
+# <entry> (atom typeof) — plus any rdf:RDF subtree (embedded RDF/XML).
+_ATTRLESS_SPECIAL = frozenset(["script", "time", "entry"])
 
 # substring fast-path: if none of these appear in the LOWERCASED raw
 # text, the document cannot yield triples (engine analogue of the
@@ -31,360 +65,246 @@ _RDFA_ATTRS_1_0 = ("href", "resource", "about", "property", "rel", "rev", "typeo
 # document).  Scanned against text.lower() with bare attribute names
 # (no '=' suffix): legal HTML allows uppercase attribute names and
 # whitespace around '=' — a false positive only costs one parse, a
-# false negative silently drops data.
+# false negative silently drops data.  Embedded RDF/XML is found by its
+# namespace, whatever prefix the document binds it to.
 FASTPATH_MARKERS = (
     "about", "resource", "typeof", "property", "rel", "rev", "vocab", "prefix",
     "href", "src", "role", "text/turtle", "rdf:rdf", "datetime", "<time",
+    "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
 )
 
 
-def _has_one_of(node: Element, names) -> bool:
-    return not node.attrs.keys().isdisjoint(names)
-
-
-def _header_check(node, state, parent_object):
-    """parse.py:89-96."""
-    if state.options.host_language in (
-        HostLanguage.xhtml, HostLanguage.html5, HostLanguage.xhtml5,
-    ):
-        if node.tag in ("head", "body"):
-            if not _has_one_of(node, ("about", "resource", "src", "href")):
-                return parent_object
-    return None
+def _document_gates(text: str, low: str, options) -> tuple[bool, bool, bool]:
+    """Whether each text-gated step can act on a document: the fused
+    built-in scan (an ``about``/``resource`` of exactly ``[]``, also
+    through a character reference, or a ``role``), the ``<base>`` scan,
+    and embedded RDF (a ``<script>`` or an ``RDF`` element, prefixed or
+    not; a tag name has no whitespace after ``<``).  ``low`` is
+    ``text.lower()``.  A custom transformer may add any markup, so with
+    one every step runs."""
+    if options.transformers:
+        return True, True, True
+    return (
+        "[]" in text or "&" in text or "role" in low,
+        "base" in low,
+        "<script" in low or "<rdf" in low or ":rdf" in low,
+    )
 
 
 def handle_role_attribute(node, graph, state):
     """parse.py:491-508."""
     attrs = node.attrs
-    if "role" in attrs:
-        if "id" in attrs:
-            id_ = attrs["id"].strip()
-            subject = iri(state.base + "#" + id_)
-        else:
-            subject = state.bnodes.new()
-        predicate = iri("http://www.w3.org/1999/xhtml/vocab#role")
-        for obj in state.getURI("role"):
-            graph.add((subject, predicate, obj))
+    if "id" in attrs:
+        subject = iri(state.base + "#" + attrs["id"].strip())
+    else:
+        subject = state.bnodes.new()
+    for obj in state.getURI(node, "role"):
+        graph.add((subject, _XHV_ROLE, obj))
 
 
-class _Frame:
-    __slots__ = ("node", "parent_object", "incoming_state", "parent_incomplete",
-                 "state", "current_subject", "exit")
-
-    def __init__(self, node, parent_object, incoming_state, parent_incomplete):
-        self.node = node
-        self.parent_object = parent_object
-        self.incoming_state = incoming_state
-        self.parent_incomplete = parent_incomplete
-        self.state = None
-        self.current_subject = None
-        self.exit = False
-
-
-def parse_tree(root: Element, graph: set, top_state: EvalState) -> None:
+def _walk(root: Element, graph: set, top_state: EvalState, embedded: bool) -> None:
     """Iterative equivalent of ``parse_one_node(root, graph, None,
-    top_state, [])`` (parse.py:47-69)."""
-    host_transforms = host_transforms_for(top_state.options.host_language)
-    stack = [_Frame(root, None, top_state, [])]
+    top_state, [])`` (parse.py:47-69, 72-289 and 325-470).  ``embedded``
+    says whether embedded RDF can occur in the document."""
+    options = top_state.options
+    v11 = top_state.rdfa_version >= "1.1"
+    rdfa_attrs = _RDFA_ATTRS_1_1 if v11 else _RDFA_ATTRS_1_0
+    host_transform, host_tags, host_keys = host_transform_for(options.host_language)
+    header_hosts = options.host_language in _HEADER_HOSTS
+    check_lite = v11 and options.check_lite and header_hosts
+    new_bnode = top_state.bnodes.new
+    add = graph.add
+    stack = [(root, None, top_state, (), {})]
+    push = stack.append
 
     while stack:
-        f = stack.pop()
-        if f.exit:
-            _exit_node(f, graph)
+        frame = stack.pop()
+        node = frame[0]
+        if node is None:
+            if frame[2] or frame[4]:
+                _leave(frame, graph, new_bnode)
             continue
-        if f.incoming_state.rdfa_version >= "1.1":
-            _enter_1_1(f, graph, stack, host_transforms)
-        else:
-            _enter_1_0(f, graph, stack, host_transforms)
+        _, parent_object, state, parent_incomplete, list_mapping = frame
+        attrs = node.attrs
 
+        if attrs or node.tag in _ATTRLESS_SPECIAL or node.local == "RDF":
+            if changes_context(attrs):
+                state = EvalState(node, graph, state)
 
-def _push_children(stack, frame, object_to_children, state, incomplete, versioned: bool):
-    """Push exit frame then children (reversed) so children run first."""
-    stack.append(frame)
-    frame.exit = True
-    for child in reversed(frame.node.element_children()):
-        stack.append(_Frame(child, object_to_children, state, incomplete))
+            # RDFa Lite check (parse.py:98-101,110)
+            if check_lite and node.tag == "link" and "rel" in attrs and \
+                    state.term_or_curie.CURIE_to_URI(attrs["rel"], state, node.tag) is not None:
+                options.add_warning(
+                    "In RDFa Lite, attribute @rel in <link> is only used in non-RDFa way "
+                    "(consider using @property)", node=node.tag)
+            if "role" in attrs:
+                handle_role_attribute(node, graph, state)
+            if embedded and handle_embedded_rdf(node, graph, state):
+                continue
+            if host_transform is not None and (
+                    node.tag in host_tags or not host_keys.isdisjoint(attrs)):
+                host_transform(node, state)
+        if rdfa_attrs.isdisjoint(attrs):
+            # parse.py:133-137: children take this element's context with the
+            # parent's object and incomplete triples; no exit step
+            for child in reversed(node.children):
+                if type(child) is Element:
+                    push((child, parent_object, state, parent_incomplete, list_mapping))
+            continue
 
-
-def _push_children_fastpath(stack, frame, state):
-    """Fast path (parse.py:133-137): recurse with the parent's object and
-    incomplete triples; this node gets NO exit processing."""
-    for child in reversed(frame.node.element_children()):
-        stack.append(_Frame(child, frame.parent_object, state, frame.parent_incomplete))
-
-
-# Tags that need per-node processing even with zero attributes:
-# <script> (embedded turtle skip), <time> (T4 content synthesis),
-# <entry> (atom typeof) — plus any rdf:RDF subtree (embedded RDF/XML).
-_ATTRLESS_SPECIAL = frozenset(["script", "time", "entry"])
-
-
-def _attrless_skip(f: _Frame, stack: list) -> bool:
-    """Attribute-less elements inherit the parent environment verbatim
-    (no prefix/lang/base/vocab changes possible), so the per-node
-    EvalState/TermContext construction can be skipped entirely — a
-    measured ~15% kernel saving on wrapper-heavy markup.  Semantics are
-    unchanged: such nodes always take the reference's fast path
-    (parse.py:133-137) with an identical inherited state."""
-    node = f.node
-    if node.attrs or node.tag in _ATTRLESS_SPECIAL or node.local == "RDF":
-        return False
-    _push_children_fastpath(stack, f, f.incoming_state)
-    return True
-
-
-def _enter_1_1(f: _Frame, graph: set, stack: list, host_transforms) -> None:
-    """parse.py:72-289 up to (and excluding) the child recursion."""
-    if _attrless_skip(f, stack):
-        return
-    node = f.node
-    attrs = node.attrs
-    state = EvalState(node, graph, inherited_state=f.incoming_state)
-    f.state = state
-    options = state.options
-
-    # RDFa Lite check (parse.py:98-101,110)
-    if options.check_lite and options.host_language in (
-        HostLanguage.html5, HostLanguage.xhtml5, HostLanguage.xhtml,
-    ):
-        if node.tag == "link" and "rel" in attrs and \
-                state.term_or_curie.CURIE_to_URI(attrs["rel"]) is not None:
-            options.add_warning(
-                "In RDFa Lite, attribute @rel in <link> is only used in non-RDFa way "
-                "(consider using @property)", node=node.tag)
-
-    handle_role_attribute(node, graph, state)
-
-    if options.embedded_rdf and handle_embedded_rdf(node, graph, state):
-        return
-
-    for func in host_transforms:
-        func(node, state)
-
-    if not _has_one_of(node, _RDFA_ATTRS_1_1):
-        _push_children_fastpath(stack, f, state)
-        return
-
-    # ---- subject/object establishment (parse.py:143-223) ----
-    current_subject = None
-    current_object = None
-    typed_resource = None
-
-    if _has_one_of(node, ("rel", "rev")):
-        current_subject = _header_check(node, state, f.parent_object)
-        if "about" in attrs:
-            current_subject = state.getURI("about")
-            if "typeof" in attrs:
-                typed_resource = current_subject
-        if current_subject is None:
-            current_subject = f.parent_object
-        else:
-            state.reset_list_mapping(origin=current_subject)
-
-        current_object = state.getResource("resource", "href", "src")
-
-        if "typeof" in attrs and "about" not in attrs:
-            if current_object is None:
-                current_object = state.bnodes.new()
-            typed_resource = current_object
-
-        if "inlist" not in attrs and current_object is not None:
-            state.reset_list_mapping(origin=current_object)
-
-    elif "property" in attrs and not _has_one_of(node, ("content", "datatype")):
-        current_subject = _header_check(node, state, f.parent_object)
-        if "about" in attrs:
-            current_subject = state.getURI("about")
-            if "typeof" in attrs:
-                typed_resource = current_subject
-        if current_subject is None:
-            current_subject = f.parent_object
-        else:
-            state.reset_list_mapping(origin=current_subject)
-
-        if typed_resource is None and "typeof" in attrs:
-            typed_resource = state.getResource("resource", "href", "src")
-            if typed_resource is None:
-                typed_resource = state.bnodes.new()
-            current_object = typed_resource
-        else:
-            current_object = current_subject
-
-    else:
-        current_subject = _header_check(node, state, f.parent_object)
-        if current_subject is None:
-            current_subject = state.getResource("about", "resource", "href", "src")
-        if current_subject is None:
-            if "typeof" in attrs:
-                current_subject = state.bnodes.new()
-                state.reset_list_mapping(origin=current_subject)
+        # ---- subject/object establishment (parse.py:143-223, 373-420) ----
+        own_mapping = list_mapping
+        origin = None
+        current_object = None
+        typed_resource = None
+        typeof = "typeof" in attrs
+        if not v11:
+            if "rel" in attrs or "rev" in attrs:
+                current_subject = state.getResource(node, "about", "src")
+                if current_subject is None:
+                    current_subject = new_bnode() if typeof else parent_object
+                else:
+                    own_mapping, origin = {}, current_subject
+                current_object = state.getResource(node, "resource", "href")
             else:
-                current_subject = f.parent_object
-        else:
-            state.reset_list_mapping(origin=current_subject)
-
-        current_object = current_subject
-        if "typeof" in attrs:
+                current_subject = state.getResource(node, "about", "src", "resource", "href")
+                if current_subject is None:
+                    # NB: the reference unconditionally overwrites the typeof-bnode
+                    # with parent_object here (parse.py:408-413) — reproduced as-is.
+                    current_subject = parent_object
+                else:
+                    own_mapping, origin = {}, current_subject
+                current_object = current_subject
             typed_resource = current_subject
-
-    f.current_subject = current_subject
-
-    # ---- @typeof (parse.py:227-229) ----
-    for defined_type in state.getURI("typeof"):
-        if typed_resource:
-            graph.add((typed_resource, RDF_TYPE, defined_type))
-
-    # ---- @rel/@rev triples + incomplete triples (parse.py:234-268) ----
-    incomplete_triples = []
-    for prop in state.getURI("rel"):
-        if prop[0] != BNODE:
-            if "inlist" in attrs:
-                if current_object is not None:
-                    state.add_to_list_mapping(prop, current_object)
+        else:
+            # a <head>/<body> without a subject of its own takes its
+            # parent's object (parse.py:89-96)
+            header_subject = None
+            if header_hosts and (node.tag == "head" or node.tag == "body") and \
+                    _SUBJECT_ATTRS.isdisjoint(attrs):
+                header_subject = parent_object
+            if "rel" in attrs or "rev" in attrs:
+                current_subject = header_subject
+                if "about" in attrs:
+                    current_subject = state.getURI(node, "about")
+                    if typeof:
+                        typed_resource = current_subject
+                if current_subject is None:
+                    current_subject = parent_object
                 else:
-                    state.add_to_list_mapping(prop, None)
-                    incomplete_triples.append((None, prop, None))
-            else:
-                if current_object is not None:
-                    graph.add((current_subject, prop, current_object))
+                    own_mapping, origin = {}, current_subject
+                current_object = state.getResource(node, "resource", "href", "src")
+                if typeof and "about" not in attrs:
+                    if current_object is None:
+                        current_object = new_bnode()
+                    typed_resource = current_object
+                if "inlist" not in attrs and current_object is not None:
+                    own_mapping, origin = {}, current_object
+            elif "property" in attrs and _LITERAL_ATTRS.isdisjoint(attrs):
+                current_subject = header_subject
+                if "about" in attrs:
+                    current_subject = state.getURI(node, "about")
+                    if typeof:
+                        typed_resource = current_subject
+                if current_subject is None:
+                    current_subject = parent_object
                 else:
-                    incomplete_triples.append((current_subject, prop, current_object))
-        else:
-            options.add_warning(err_no_blank_node % "rel",
-                                warning_type=IncorrectBlankNodeUsage, node=node.tag)
-
-    for prop in state.getURI("rev"):
-        if prop[0] != BNODE:
-            if current_object is not None:
-                graph.add((current_object, prop, current_subject))
+                    own_mapping, origin = {}, current_subject
+                if typed_resource is None and typeof:
+                    typed_resource = state.getResource(node, "resource", "href", "src")
+                    if typed_resource is None:
+                        typed_resource = new_bnode()
+                    current_object = typed_resource
+                else:
+                    current_object = current_subject
             else:
-                incomplete_triples.append((current_object, prop, current_subject))
-        else:
-            options.add_warning(err_no_blank_node % "rev",
-                                warning_type=IncorrectBlankNodeUsage, node=node.tag)
+                current_subject = header_subject
+                if current_subject is None:
+                    current_subject = state.getResource(node, "about", "resource", "href", "src")
+                if current_subject is None:
+                    if typeof:
+                        current_subject = new_bnode()
+                        own_mapping, origin = {}, current_subject
+                    else:
+                        current_subject = parent_object
+                else:
+                    own_mapping, origin = {}, current_subject
+                current_object = current_subject
+                if typeof:
+                    typed_resource = current_subject
 
-    # ---- @property (parse.py:274-275) ----
-    if "property" in attrs:
-        ProcessProperty(node, graph, current_subject, state, typed_resource).generate_1_1()
+        # ---- @typeof (parse.py:227-229; 1.0 types the subject, 424-425) ----
+        if typeof:
+            for defined_type in state.getURI(node, "typeof"):
+                if typed_resource or not v11:
+                    add((typed_resource, RDF_TYPE, defined_type))
 
-    # ---- recursion setup (parse.py:280-289) ----
-    if current_object is None:
-        object_to_children = state.bnodes.new()
-    else:
-        object_to_children = current_object
+        # ---- @rel/@rev triples + incomplete triples (parse.py:234-268) ----
+        incomplete = []
+        if "rel" in attrs:
+            inlist = v11 and "inlist" in attrs
+            for prop in state.getURI(node, "rel"):
+                if prop[0] == BNODE:
+                    options.add_warning(err_no_blank_node % "rel",
+                                        warning_type=IncorrectBlankNodeUsage, node=node.tag)
+                elif inlist:
+                    if current_object is not None:
+                        add_to_list_mapping(own_mapping, prop, current_object)
+                    else:
+                        add_to_list_mapping(own_mapping, prop, None)
+                        incomplete.append((None, prop, None))
+                elif current_object is not None:
+                    add((current_subject, prop, current_object))
+                else:
+                    incomplete.append((current_subject, prop, None))
+        if "rev" in attrs:
+            for prop in state.getURI(node, "rev"):
+                if prop[0] == BNODE:
+                    options.add_warning(err_no_blank_node % "rev",
+                                        warning_type=IncorrectBlankNodeUsage, node=node.tag)
+                elif current_object is not None:
+                    add((current_object, prop, current_subject))
+                else:
+                    incomplete.append((None, prop, current_subject))
 
-    _push_children(stack, f, object_to_children, state, incomplete_triples, True)
-
-
-def _enter_1_0(f: _Frame, graph: set, stack: list, host_transforms) -> None:
-    """parse.py:325-470."""
-    if _attrless_skip(f, stack):
-        return
-    node = f.node
-    attrs = node.attrs
-    state = EvalState(node, graph, inherited_state=f.incoming_state)
-    f.state = state
-    options = state.options
-
-    handle_role_attribute(node, graph, state)
-
-    if options.embedded_rdf and handle_embedded_rdf(node, graph, state):
-        return
-
-    for func in host_transforms:
-        func(node, state)
-
-    if not _has_one_of(node, _RDFA_ATTRS_1_0):
-        _push_children_fastpath(stack, f, state)
-        return
-
-    current_subject = None
-    current_object = None
-
-    if _has_one_of(node, ("rel", "rev")):
-        current_subject = state.getResource("about", "src")
-        if current_subject is None:
-            if "typeof" in attrs:
-                current_subject = state.bnodes.new()
+        # ---- @property (parse.py:274-275) ----
+        if "property" in attrs:
+            if v11:
+                property_1_1(node, graph, current_subject, state, typed_resource, own_mapping)
             else:
-                current_subject = f.parent_object
-        else:
-            state.reset_list_mapping(origin=current_subject)
-        current_object = state.getResource("resource", "href")
-    else:
-        current_subject = state.getResource("about", "src", "resource", "href")
-        if current_subject is None:
-            # NB: the reference unconditionally overwrites the typeof-bnode
-            # with parent_object here (parse.py:408-413) — reproduced as-is.
-            current_subject = f.parent_object
-        else:
-            state.reset_list_mapping(origin=current_subject)
-        current_object = current_subject
+                property_1_0(node, graph, current_subject, state)
 
-    f.current_subject = current_subject
-
-    # @typeof types the subject unconditionally in 1.0 (parse.py:424-425)
-    for defined_type in state.getURI("typeof"):
-        graph.add((current_subject, RDF_TYPE, defined_type))
-
-    incomplete_triples = []
-    for prop in state.getURI("rel"):
-        if prop[0] != BNODE:
-            if current_object is not None:
-                graph.add((current_subject, prop, current_object))
-            else:
-                incomplete_triples.append((current_subject, prop, current_object))
-        else:
-            options.add_warning(err_no_blank_node % "rel",
-                                warning_type=IncorrectBlankNodeUsage, node=node.tag)
-    for prop in state.getURI("rev"):
-        if prop[0] != BNODE:
-            if current_object is not None:
-                graph.add((current_object, prop, current_subject))
-            else:
-                incomplete_triples.append((current_object, prop, current_subject))
-        else:
-            options.add_warning(err_no_blank_node % "rev",
-                                warning_type=IncorrectBlankNodeUsage, node=node.tag)
-
-    if "property" in attrs:
-        ProcessProperty(node, graph, current_subject, state).generate_1_0()
-
-    if current_object is None:
-        object_to_children = state.bnodes.new()
-    else:
-        object_to_children = current_object
-
-    _push_children(stack, f, object_to_children, state, incomplete_triples, False)
+        # ---- recursion setup (parse.py:280-289) ----
+        if current_object is None:
+            current_object = new_bnode()
+        if parent_incomplete or origin is not None:
+            push((None, current_subject, parent_incomplete, list_mapping,
+                  own_mapping if origin is not None else None, origin))
+        for child in reversed(node.children):
+            if type(child) is Element:
+                push((child, current_object, state, incomplete, own_mapping))
 
 
-def _exit_node(f: _Frame, graph: set) -> None:
+def _leave(frame, graph: set, new_bnode) -> None:
     """Post-order step: complete the parent's incomplete triples
-    (parse.py:293-300) and materialize lists (parse.py:302-316)."""
-    state = f.state
-    current_subject = f.current_subject
-
-    for (s, p, o) in f.parent_incomplete:
+    (parse.py:293-300) and close this element's lists (parse.py:302-316)."""
+    _, current_subject, parent_incomplete, parent_mapping, own_mapping, origin = frame
+    for (s, p, o) in parent_incomplete:
         if s is None and o is None:
-            f.incoming_state.add_to_list_mapping(p, current_subject)
+            add_to_list_mapping(parent_mapping, p, current_subject)
         else:
-            if s is None:
-                s = current_subject
-            if o is None:
-                o = current_subject
-            graph.add((s, p, o))
-
-    if state.new_list and not state.list_empty():
-        for prop in state.get_list_props():
-            vals = state.get_list_value(prop)
+            graph.add((current_subject if s is None else s, p,
+                       current_subject if o is None else o))
+    if own_mapping:
+        for prop, vals in list(own_mapping.items()):
             if vals is None:
-                graph.add((state.get_list_origin(), prop, RDF_NIL))
+                graph.add((origin, prop, RDF_NIL))
             else:
-                heads = [state.bnodes.new() for _ in vals] + [RDF_NIL]
+                heads = [new_bnode() for _ in vals] + [RDF_NIL]
                 for i in range(len(vals)):
                     graph.add((heads[i], RDF_FIRST, vals[i]))
                     graph.add((heads[i], RDF_REST, heads[i + 1]))
-                graph.add((state.get_list_origin(), prop, heads[0]))
+                graph.add((origin, prop, heads[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -432,17 +352,22 @@ def distill(
     """
     options = options if options is not None else KernelOptions()
     options.diagnostics = []
-
     graph: set = set()
-    bnodes = BnodeGen()
 
     # whole-document fast path: no RDFa-ish markers -> no triples.
     # Two-phase scan: raw text first (normal lowercase markup hits on
     # the first marker, no allocation); the lowercased copy is built
     # only when the raw scan misses (prose / uppercase markup).
-    if not any(marker in text for marker in FASTPATH_MARKERS):
+    low = None
+    for marker in FASTPATH_MARKERS:
+        if marker in text:
+            break
+    else:
         low = text.lower()
-        if not any(marker in low for marker in FASTPATH_MARKERS):
+        for marker in FASTPATH_MARKERS:
+            if marker in low:
+                break
+        else:
             return graph, options.diagnostics
 
     try:
@@ -453,29 +378,29 @@ def distill(
         options.add_error("Parse failure: %s" % e, NonConformantMarkup)
         return graph, options.diagnostics
 
-    options.host_language = host_language if host_language is not None else sniffed_host
-    from .context import REQUIRE_EMBEDDED_RDF
-
+    host = options.host_language = host_language if host_language is not None else sniffed_host
     # options objects are reused across rows (hoisted to actor
     # __init__); restore the host-driven embedded_rdf flip on exit
     _embedded0 = options.embedded_rdf
-    if options.host_language in REQUIRE_EMBEDDED_RDF:
+    if host in REQUIRE_EMBEDDED_RDF:
         options.embedded_rdf = True
 
     top = doc.root
+    scan, base_scan, embedded = _document_gates(text, text.lower() if low is None else low, options)
     try:
-        state = EvalState(
-            top, graph, inherited_state=None, base=base, options=options,
-            rdfa_version=version, bnodes=bnodes,
-        )
-        for trans in tuple(options.transformers) + BUILTIN_TRANSFORMERS:
+        if base_scan and host in HTML_HOSTS:
+            base = html_base(top) or base
+        state = EvalState(top, graph, base=base, options=options, rdfa_version=version,
+                          bnodes=BnodeGen())
+        for trans in options.transformers:
             trans(top, options, state)
+        if scan:
+            fused_builtin_scan(top, options, state)
+        top_about(top, options, state)
         if options.check_lite:
-            from .transform import lite_prune
-
             lite_prune(top, options, state)
 
-        parse_tree(top, graph, state)
+        _walk(top, graph, state, embedded and options.embedded_rdf)
         handle_prototypes(graph)
 
         if options.vocab_expansion:
@@ -553,7 +478,7 @@ def extract_hturtle(text: str, base: str = "", options: KernelOptions | None = N
         return graph, options.diagnostics
     bnodes = BnodeGen()
     for el in doc.root.iter_elements():
-        if el.tag.lower() == "script" and el.getAttribute("type") == "text/turtle":
+        if el.tag.lower() == "script" and el.attrs.get("type") == "text/turtle":
             content = "".join(c for c in el.children if not isinstance(c, Element))
             content = content.replace("<![CDATA[", "").replace("]]>", "")
             try:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..kernel import KernelOptions, distill
-from ..rdf.terms import BNODE, IRI, LIT
+from ..rdf.terms import IRI, LIT
 
 # Tuned for ~1-10 KB markup fragments: a batch stays well under the
 # object-store block target while amortizing actor-call overhead.
@@ -91,43 +91,44 @@ class RdfaDistiller:
         texts = batch.column("text").to_pylist()
 
         out = {name: [] for name in TRIPLES_SCHEMA.names}
-        app = {name: out[name].append for name in TRIPLES_SCHEMA.names}
+        subj, subj_kind, pred = out["subj"].append, out["subj_kind"].append, out["pred"].append
+        obj_value, obj_kind = out["obj_value"].append, out["obj_kind"].append
+        obj_lang, obj_datatype = out["obj_lang"].append, out["obj_datatype"].append
 
         for conv_id, turn_idx, text in zip(conv_ids, turn_idxs, texts):
             if not text:
                 continue
             g_iri = graph_iri(conv_id, turn_idx)
             triples, diags = self._distill(text, base=g_iri, options=self._options)
+            n = len(triples) + len(diags)
+            if not n:
+                continue
+            # the per-document columns, once per document
+            out["conv_id"] += [conv_id] * n
+            out["turn_idx"] += [turn_idx] * n
+            out["graph"] += [g_iri] * n
+            out["kind"] += ["triple"] * len(triples) + ["diag"] * len(diags)
             for (s, p, o) in triples:
-                app["conv_id"](conv_id)
-                app["turn_idx"](turn_idx)
-                app["kind"]("triple")
-                app["subj"](s[1])
-                app["subj_kind"]("iri" if s[0] == IRI else "bnode")
-                app["pred"](p[1])
+                subj(s[1])
+                subj_kind("iri" if s[0] == IRI else "bnode")
+                pred(p[1])
+                obj_value(o[1])
                 if o[0] == LIT:
-                    app["obj_value"](o[1])
-                    app["obj_kind"]("literal")
-                    app["obj_lang"](o[2])
-                    app["obj_datatype"](o[3])
+                    obj_kind("literal")
+                    obj_lang(o[2])
+                    obj_datatype(o[3])
                 else:
-                    app["obj_value"](o[1])
-                    app["obj_kind"]("iri" if o[0] == IRI else "bnode")
-                    app["obj_lang"](None)
-                    app["obj_datatype"](None)
-                app["graph"](g_iri)
+                    obj_kind("iri" if o[0] == IRI else "bnode")
+                    obj_lang(None)
+                    obj_datatype(None)
             for d in diags:
-                app["conv_id"](conv_id)
-                app["turn_idx"](turn_idx)
-                app["kind"]("diag")
-                app["subj"](d.severity)
-                app["subj_kind"]("iri")
-                app["pred"](d.dclass or "")
-                app["obj_value"](d.message)
-                app["obj_kind"]("literal")
-                app["obj_lang"](None)
-                app["obj_datatype"](None)
-                app["graph"](g_iri)
+                subj(d.severity)
+                subj_kind("iri")
+                pred(d.dclass or "")
+                obj_value(d.message)
+                obj_kind("literal")
+                obj_lang(None)
+                obj_datatype(None)
 
         return pa.Table.from_pydict(out, schema=TRIPLES_SCHEMA)
 

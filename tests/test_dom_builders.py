@@ -13,6 +13,7 @@ The property tests are derandomized with a fixed example count, so the
 suite is reproducible.
 """
 
+import random
 import xml.dom.minidom as minidom
 
 import pytest
@@ -343,6 +344,55 @@ def test_refused_html_goes_through_tree_builder(text):
     got = parse_html(text)
     assert _tree(got.root) == _tree(_shape(tb.top))
     assert (got.public_id, got.system_id) == (tb.public_id, tb.system_id)
+
+
+# the markup vocabulary of the FIXTURES mix (sources/transcripts.py), with
+# the spellings a parser must survive: uppercase names, entities, void
+# elements and unclosed tags
+_FX_TAGS = ["div", "span", "p", "a", "time", "ul", "li", "DIV", "Span", "TIME", "LI"]
+_FX_VOID = ['<br/>', '<img src="x.png"/>', '<hr/>', '<meta name="m" content="c"/>', '<BR/>',
+            '<br>', '<IMG SRC="y">']
+_FX_ATTRS = ['vocab="http://schema.org/"', 'about="#item%d"', 'typeof="Organization"',
+             'property="name"', 'property="http://purl.org/dc/terms/title"',
+             'prefix="ex: http://example.org/terms#"', 'rel="ex:mentions"',
+             'href="http://topics.local/t%d"', 'inlist=""', 'lang="en"',
+             'datetime="2026-0%d-11"', 'ABOUT="#x%d"', 'Property="description"', "id='i%d'"]
+_FX_TEXT = ["Alice Smith %d", "Notes on ", "Discussed in turn %d", "alpha%d", " ", "2026-01-1%d"]
+_FX_ENTITY_ATTRS = ['about="&#91;]"', 'title="a &amp; b"']
+_FX_ENTITY_TEXT = ["&amp;", "&#91;]", "&lt;b&gt;", "caf&eacute;"]
+
+
+def _fixture_fragment(rng: random.Random, entities: bool, depth: int = 0) -> str:
+    attr_pool = _FX_ATTRS + _FX_ENTITY_ATTRS if entities else _FX_ATTRS
+    text_pool = _FX_TEXT + _FX_ENTITY_TEXT if entities else _FX_TEXT
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        r = rng.random()
+        if r < 0.25:
+            out.append(rng.choice(text_pool).replace("%d", str(rng.randrange(10))))
+        elif r < 0.35:
+            out.append(rng.choice(_FX_VOID))
+        else:
+            tag = rng.choice(_FX_TAGS)
+            attrs = "".join(" " + a.replace("%d", str(rng.randrange(10)))
+                            for a in rng.sample(attr_pool, rng.randint(0, 3)))
+            inner = _fixture_fragment(rng, entities, depth + 1) if depth < 3 else "x"
+            r = rng.random()
+            close = "</%s>" % (tag if r < 0.9 else tag.lower()) if r < 0.95 else ""
+            out.append("<%s%s>%s%s" % (tag, attrs, inner, close))
+    return "".join(out)
+
+
+def test_fixture_fragments_match_tree_builder():
+    rng = random.Random(2026)
+    accepted = 0
+    for _ in range(2500):
+        text = _fixture_fragment(rng, entities=rng.random() < 0.5)
+        if check_html(text):
+            accepted += 1
+            assert _tree(parse_html(text).root) == _tree(_shape(_tree_builder_top(text))), text
+    # both paths are exercised
+    assert 500 < accepted < 2000, accepted
 
 
 def test_html_expat_path_coalesces_text_runs():
