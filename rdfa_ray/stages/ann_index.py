@@ -7,14 +7,16 @@ phases the way a production pipeline would:
 
 * ``build_ivf_index``: ONE pass — deterministic sampled k-means
   centroids (driver-side, tiny), then every vector is assigned its
-  cell in ``map_batches`` and written as ``cell=NN/``-partitioned
-  Parquet.  ``centroids.npy`` is the index's completeness sentinel,
-  so it is published (``state/commit.py``, under the index's writer
-  lock) only AFTER the vectors dataset write finishes — a crash
-  mid-build leaves no sentinel and the next run rebuilds.
-* ``ivf_search``: reads ONLY the probed cells' partitions
-  (``read_parquet`` partition filter → directory pruning at the
-  storage layer; scan fraction ≈ n_probe/n_cells), scores the read
+  cell in ``map_batches`` and written through
+  ``commit.write_partitioned`` keyed on the cell: each cell's vectors,
+  in input order, as ``parts/<cell>-g1/`` Parquet files that keep the
+  int32 ``cell`` column.  ``centroids.npy`` follows, and the
+  ``_meta.json`` manifest listing each cell's files is published LAST
+  (``state/commit.py``, under the index's writer lock): it is the
+  completeness sentinel, so a crash mid-build — or an index written
+  before the manifest existed — leaves none and the next run rebuilds.
+* ``ivf_search``: reads ONLY the probed cells' files, as the manifest
+  lists them (scan fraction ≈ n_probe/n_cells), scores the read
   vectors in place against each query's probe mask (no shuffle of
   embedding payloads — see stages/ann.py), and merges per-query top-k
   in one coalesced vectorized pass.
@@ -36,12 +38,16 @@ from ..sources.io import read_parquet as read_parquet_clean
 from ..state import commit
 
 CENTROIDS = "centroids.npy"
+_META = "_meta.json"
+# Rows per vector file and per write task: a write task holds this many
+# embeddings (~27 MB at 64 float32 dimensions).
+_ROWS_PER_FILE = 100_000
 
 
 def index_is_complete(index_dir: str) -> bool:
-    """The centroid file doubles as the build-complete sentinel: it is
-    the LAST artifact written (atomically)."""
-    return os.path.exists(os.path.join(index_dir, CENTROIDS))
+    """The manifest doubles as the build-complete sentinel: it is the
+    LAST artifact written (atomically)."""
+    return commit.read_manifest(index_dir, _META, 1) is not None
 
 
 def build_ivf_index(embeddings_ds, index_dir: str, n_cells: int = 16, sample_limit: int = 2048):
@@ -49,6 +55,10 @@ def build_ivf_index(embeddings_ds, index_dir: str, n_cells: int = 16, sample_lim
     is re-checked under the writer lock: two callers that both missed
     it build once, and the second never ``rmtree``s the vectors the
     first is already searching."""
+    import shutil
+
+    import pyarrow.compute as pc
+
     os.makedirs(index_dir, exist_ok=True)
     with commit.writer_lock(index_dir):
         if index_is_complete(index_dir):
@@ -57,41 +67,35 @@ def build_ivf_index(embeddings_ds, index_dir: str, n_cells: int = 16, sample_lim
         sample = np.array(sample_df["embedding"].tolist(), dtype=np.float64)
         cents = _normalize(_kmeans(sample, n_cells))
 
-        # a previous crashed build (no sentinel) may have left partial
-        # vector files; clear them so the rebuild can't mix generations
-        vec_dir = os.path.join(index_dir, "vectors")
-        if os.path.isdir(vec_dir):
-            import shutil
-
-            shutil.rmtree(vec_dir)
+        # a crashed build (or an older layout's ``vectors/``) may have
+        # left vector files; clear them so the rebuild can't mix builds
+        for d in ("parts", "vectors"):
+            shutil.rmtree(os.path.join(index_dir, d), ignore_errors=True)
 
         def assign(batch: pa.Table) -> pa.Table:
             ids, embs = _stack(batch)
-            if len(ids) == 0:
-                return pa.Table.from_pydict(
-                    {"vec_id": pa.array([], pa.int64()),
-                     "cell": pa.array([], pa.int32()),
-                     "embedding": batch.column("embedding")}
-                )
-            cells = (_normalize(embs) @ cents.T).argmax(axis=1).astype(np.int32)
+            cells = pa.array(
+                (_normalize(embs) @ cents.T).argmax(axis=1) if len(ids) else [], pa.int32()
+            )
             return pa.Table.from_pydict(
                 {"vec_id": pa.array(ids, pa.int64()),
-                 "cell": pa.array(cells, pa.int32()),
-                 "embedding": batch.column("embedding")}
+                 "cell": cells,
+                 "embedding": batch.column("embedding"),
+                 "cell_key": pc.cast(cells, pa.string())}
             )
 
-        embeddings_ds.map_batches(assign, batch_format="pyarrow").write_parquet(
-            os.path.join(index_dir, "vectors"), partition_cols=["cell"]
+        files = commit.write_partitioned(
+            embeddings_ds.map_batches(assign, batch_format="pyarrow"),
+            "cell_key", index_dir, 1, _ROWS_PER_FILE,
         )
 
-        # sentinel LAST: callers (e.g. q_ann_ivf_indexed) key "index
-        # already built" off this file, so it must not exist before the
-        # vectors write completed
         def save(tmp):
             with open(tmp, "wb") as f:  # a path would get ".npy" appended
                 np.save(f, cents)
 
         commit.atomic_write(os.path.join(index_dir, CENTROIDS), save)
+        # sentinel LAST: q_ann_ivf_indexed keys "index built" off it
+        commit.publish_manifest(index_dir, _META, {"format": 1, "partitions": files})
         return cents
 
 
@@ -101,22 +105,20 @@ def ivf_search(index_dir: str, queries_df: pd.DataFrame, k: int = 10, n_probe: i
     import ray
     import ray.data as rd
 
+    meta = commit.read_manifest(index_dir, _META, 1)
+    if meta is None:
+        raise FileNotFoundError("IVF index at %s is absent or incomplete" % index_dir)
     cents = np.load(os.path.join(index_dir, CENTROIDS))
     qdf = queries_df.sort_values("vec_id")
     qmat = _normalize(np.array(qdf["embedding"].tolist(), dtype=np.float64))
     probe = np.argsort(-(qmat @ cents.T), axis=1)[:, :n_probe]
     probed_union = sorted(int(c) for c in np.unique(probe))
 
-    # partition-pruned read: list ONLY the probed cells' hive
-    # directories — never-probed partitions are not even opened.
-    import glob as _glob
-
+    # partition-pruned read: ONLY the probed cells' files are opened
     paths = [
-        f
+        os.path.join(index_dir, rel)
         for c in probed_union
-        for f in sorted(
-            _glob.glob(os.path.join(index_dir, "vectors", "cell=%d" % c, "*.parquet"))
-        )
+        for rel in meta["partitions"].get(str(c), [])
     ]
     if not paths:
         return rd.from_items([])
@@ -130,18 +132,7 @@ def ivf_search(index_dir: str, queries_df: pd.DataFrame, k: int = 10, n_probe: i
             "n_cells": len(cents),
         }
     )
-
-    # Ray's parquet reader recovers `cell` from the `cell=N` path
-    # segment as a string — normalize to int for the probe mask
-    def cast_cell(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        idx = batch.schema.get_field_index("cell")
-        return batch.set_column(
-            idx, "cell", pc.cast(batch.column("cell"), pa.int32())
-        )
-
-    partials = vectors.map_batches(cast_cell, batch_format="pyarrow").map_batches(
+    partials = vectors.map_batches(
         score_batch_ivf,
         fn_kwargs={"state_ref": state_ref, "k": k},
         batch_format="pyarrow",

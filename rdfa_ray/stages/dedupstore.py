@@ -21,17 +21,21 @@ Scale shape (the whole point):
 * document text NEVER crosses an exchange: the drop hashes map-side,
   keep-first resolves on a hash-keyed groupby of (h, doc_id) rows, and
   the against-store check is a bucketed anti join of hash rows;
-* committing appends one parquet per touched prefix (append-only —
-  a membership set only ever grows) and swaps the manifest, so a
-  crashed commit leaves the previous snapshot fully readable and a
-  re-run is idempotent.
+* every writer (build, commit, compaction) goes through
+  ``commit.write_partitioned`` keyed on the prefix: a write task
+  gathers up to ``_ROWS_PER_FILE`` hash rows, and each prefix it holds
+  becomes bounded-size files in a new generation directory
+  ``parts/<prefix>-g<N>`` whose paths the manifest lists per prefix;
+* committing appends one generation directory per touched prefix
+  (append-only — a membership set only ever grows) and swaps the
+  manifest, so a crashed commit leaves the previous snapshot fully
+  readable and a re-run is idempotent.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import uuid
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -56,14 +60,17 @@ def _current_meta(store_dir: str) -> dict:
     return meta
 
 
+def _with_prefix(t: pa.Table, prefix_len: int = 2) -> pa.Table:
+    """Append ``p``, the first ``prefix_len`` hex chars of ``h``."""
+    h = pc.cast(t.column("h"), pa.string())
+    return t.append_column("p", pc.utf8_slice_codeunits(h, 0, prefix_len))
+
+
 def _hash_prefix_batch(batch: pa.Table, prefix_len: int = 2) -> pa.Table:
     """(doc_id, text) -> (doc_id, h, p): md5 hex + hex-char prefix."""
     from .dedup import _text_md5_batch
 
-    t = _text_md5_batch(batch)
-    return t.append_column(
-        "p", pc.utf8_slice_codeunits(t.column("h"), 0, prefix_len)
-    )
+    return _with_prefix(_text_md5_batch(batch), prefix_len)
 
 
 def _store_files(store_dir: str, meta: dict, prefixes) -> list:
@@ -75,12 +82,13 @@ def _store_files(store_dir: str, meta: dict, prefixes) -> list:
 
 
 def persist_hash_store(docs_ds, store_dir: str, prefix_len: int = 2) -> dict:
-    """Build the store from an existing corpus: one hash pass, one
-    p-range sort, prefix-pure parquet files written per BLOCK.
-    Returns the meta dict; manifest written LAST (sentinel); any
-    parquet not referenced by the new manifest (stale generations from
-    a rebuild over a complete store, or orphans of a crashed commit)
-    is vacuumed after the swap.
+    """Build the store from an existing corpus: one hash pass and one
+    keyed write of prefix-pure files (``_write_hashes``).  Over a
+    complete store the build is a NEW generation, so the live one stays
+    readable until the manifest swap.  Returns the meta dict; manifest
+    written LAST (sentinel); anything under parts/ the new manifest
+    does not reference (the superseded generation, or orphans of a
+    crashed commit) is vacuumed after the swap.
 
     ``prefix_len`` (hex chars; recorded in the manifest and honored by
     every later read/commit/compaction) sets the partition fan-out:
@@ -91,18 +99,17 @@ def persist_hash_store(docs_ds, store_dir: str, prefix_len: int = 2) -> dict:
 
     os.makedirs(store_dir, exist_ok=True)
     with store_commit.writer_lock(store_dir):
-        if not hash_store_is_complete(store_dir):
-            p = os.path.join(store_dir, "parts")
-            if os.path.isdir(p):  # crashed build: clear partial generations
-                shutil.rmtree(p)
+        old = store_commit.read_manifest(store_dir, _META, 1)
+        if old is None:  # crashed build: clear partial generations
+            shutil.rmtree(os.path.join(store_dir, "parts"), ignore_errors=True)
+        gen = 1 if old is None else old["generation"] + 1
 
         hashed = docs_ds.map_batches(
             _hash_prefix_batch, fn_kwargs={"prefix_len": prefix_len},
             batch_format="pyarrow",
         )
-        parts = _write_generation(hashed, store_dir, gen=1)
-        meta = {"format": 1, "generation": 1, "prefix_len": prefix_len,
-                "partitions": parts}
+        meta = {"format": 1, "generation": gen, "prefix_len": prefix_len,
+                "partitions": _write_hashes(hashed, store_dir, gen)}
         _publish(store_dir, meta)
     return meta
 
@@ -110,80 +117,32 @@ def persist_hash_store(docs_ds, store_dir: str, prefix_len: int = 2) -> dict:
 _ROWS_PER_FILE = 4_000_000  # ~40 B/hash -> ~160 MB per file ceiling
 
 
-def _write_generation(hashed_ds, store_dir: str, gen: int,
-                      rows_per_file: int = _ROWS_PER_FILE) -> dict:
-    """Write this generation's hashes as prefix-pure parquet files.
+def _write_hashes(hashed_ds, store_dir: str, gen: int,
+                  rows_per_file: int = _ROWS_PER_FILE) -> dict:
+    """Write generation ``gen`` of the (h, p) rows of ``hashed_ds``
+    through ``commit.write_partitioned``: per prefix, files of at most
+    ``rows_per_file`` hashes under ``parts/<prefix>-g<gen>``.  Each
+    block is reduced to its distinct (h, p) rows where it lives; a hash
+    repeated across blocks is stored twice, which membership does not
+    notice (``compact_hash_store`` folds it).  Those thin rows are
+    materialized before the write: Ray fuses the maps in front of a
+    sink into its write tasks, and a write task gathers up to
+    ``rows_per_file`` rows of the fused input — without the barrier it
+    would gather documents (or, compacting, whole prefixes) instead of
+    at most ``rows_per_file`` hashes.  Returns {prefix: [relpaths]}."""
 
-    Scale shape: one p-range sort of the thin (h, p) rows, then each
-    BLOCK of the sorted stream splits itself by the few prefixes it
-    spans and writes bounded-size files — no task ever holds more than
-    one block (the round-4 build funnelled each prefix, ~corpus/256
-    hashes, through a single ``map_groups`` task; at 100 TB that is a
-    multi-GB heap per task).  A prefix spanning several blocks simply
-    yields several files — the manifest's per-prefix file LIST covers
-    it, and ``compact_hash_store`` folds them back down after many
-    drops.  Hashes are deduped per (block, prefix) slice; cross-block
-    duplicates are rare (the stream is h-unsorted only at block
-    boundaries) and harmless for membership semantics.
-    Returns {prefix: [relpaths]}."""
-    import numpy as np
+    def distinct(t: pa.Table) -> pa.Table:
+        return t.select(["h", "p"]).group_by(["h", "p"], use_threads=False).aggregate([])
 
-    def write_block(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _rel_rows([], [])
-        pa.set_cpu_count(1)
-        t = t.combine_chunks()
-        pcol = np.asarray(t.column("p"))
-        # block is p-sorted: each prefix is one contiguous run
-        bounds = np.flatnonzero(pcol[1:] != pcol[:-1]) + 1
-        starts = np.concatenate(([0], bounds))
-        stops = np.concatenate((bounds, [len(pcol)]))
-        ps, rels = [], []
-        for s, e in zip(starts, stops):
-            h = pc.unique(pc.cast(t.slice(s, e - s).column("h"), pa.string()))
-            new = _write_hash_files(store_dir, pcol[s], "g%d" % gen, h, rows_per_file)
-            ps += [pcol[s]] * len(new)
-            rels += new
-        return _rel_rows(ps, rels)
-
-    rows = (
-        hashed_ds.select_columns(["h", "p"])
-        .sort("p")
-        .map_batches(write_block, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-    )
-    parts: dict = {}
-    for p, rel in zip(rows["p"], rows["rel"]):
-        parts.setdefault(p, []).append(rel)
-    return parts
-
-
-def _write_hash_files(store_dir: str, prefix: str, tag: str, h, rows_per_file: int) -> list:
-    """One prefix's distinct hashes ``h`` as bounded-size files
-    ``parts/<prefix>-<tag>-<uuid>.parquet``; returns their relpaths."""
-    import pyarrow.parquet as pq
-
-    rels = []
-    for off in range(0, len(h), rows_per_file):
-        rel = os.path.join("parts", "%s-%s-%s.parquet" % (prefix, tag, uuid.uuid4().hex[:8]))
-        chunk = pa.table({"h": h.slice(off, rows_per_file)})
-        store_commit.atomic_write(os.path.join(store_dir, rel),
-                                  lambda tmp: pq.write_table(chunk, tmp))
-        rels.append(rel)
-    return rels
-
-
-def _rel_rows(ps: list, rels: list) -> pa.Table:
-    return pa.Table.from_pydict(
-        {"p": pa.array(ps, pa.string()), "rel": pa.array(rels, pa.string())}
-    )
+    hashes = hashed_ds.map_batches(distinct, batch_format="pyarrow").materialize()
+    return store_commit.write_partitioned(hashes, "p", store_dir, gen, rows_per_file)
 
 
 def vacuum_hash_store(store_dir: str) -> int:
-    """Unlink every file under parts/ that the CURRENT manifest does
-    not reference (stale generations from a rebuild, superseded
+    """Delete every entry under parts/ that holds no file the CURRENT
+    manifest references (stale generations from a rebuild, superseded
     compaction inputs, .tmp orphans of a crashed writer).  Returns the
-    number of files removed."""
+    number of entries removed."""
     with store_commit.writer_lock(store_dir):
         return len(_vacuum(store_dir, _current_meta(store_dir)))
 
@@ -206,9 +165,11 @@ def compact_hash_store(store_dir: str, max_files_per_prefix: int = 4,
     N small files, and every future dedup re-reads all of them — this
     is the read-amplification release valve.  Prefixes at or under
     ``max_files_per_prefix`` files are left untouched (their bytes are
-    not rewritten).  Swaps the manifest, then vacuums the superseded
-    inputs.  Single-writer; crash before the swap leaves the previous
-    snapshot fully readable and the re-run idempotent.
+    not rewritten).  The folded prefixes are written as generation
+    ``generation + 1`` (so no live directory is replaced), the manifest
+    is swapped, then the superseded inputs are vacuumed.
+    Single-writer; crash before the swap leaves the previous snapshot
+    fully readable and the re-run idempotent.
 
     Memory shape: compaction MUST co-locate a whole prefix to unique
     it, so each task holds one prefix's distinct hashes (~corpus/256
@@ -227,29 +188,21 @@ def compact_hash_store(store_dir: str, max_files_per_prefix: int = 4,
             return meta
         files_by_prefix = {p: _store_files(store_dir, meta, [p]) for p in todo}
 
-        def compact_prefix(batch: pa.Table) -> pa.Table:
+        def unique_prefix(batch: pa.Table) -> pa.Table:
             pa.set_cpu_count(1)
-            ps, rels = [], []
-            for prefix in batch.column("p").to_pylist():
-                tabs = [pq.read_table(f, columns=["h"]) for f in files_by_prefix[prefix]]
-                h = pc.unique(pc.cast(pa.concat_tables(tabs).column("h"), pa.string()))
-                new = _write_hash_files(store_dir, prefix, "c%d" % meta["generation"],
-                                        h, rows_per_file)
-                ps += [prefix] * len(new)
-                rels += new
-            return _rel_rows(ps, rels)
+            prefix = batch.column("p")[0].as_py()
+            tabs = [pq.read_table(f, columns=["h"]) for f in files_by_prefix[prefix]]
+            h = pc.unique(pc.cast(pa.concat_tables(tabs).column("h"), pa.string()))
+            return pa.table({"h": h, "p": pa.array([prefix] * len(h), pa.string())})
 
-        rows = (
-            rd.from_items([{"p": p} for p in todo])
-            .map_batches(compact_prefix, batch_format="pyarrow", batch_size=1)
-            .to_pandas()
+        gen = meta["generation"] + 1
+        folded = rd.from_items([{"p": p} for p in todo]).map_batches(
+            unique_prefix, batch_format="pyarrow", batch_size=1
         )
-        partitions = {p: list(rels) for p, rels in meta["partitions"].items()}
-        for p in todo:
-            partitions[p] = []
-        for p, rel in zip(rows["p"], rows["rel"]):
-            partitions[p].append(rel)
-        new_meta = {"format": 1, "generation": meta["generation"],
+        new_parts = _write_hashes(folded, store_dir, gen, rows_per_file)
+        partitions = dict(meta["partitions"])
+        partitions.update({p: new_parts.get(p, []) for p in todo})
+        new_meta = {"format": 1, "generation": gen,
                     "prefix_len": int(meta.get("prefix_len", 2)),
                     "partitions": partitions}
         _publish(store_dir, new_meta)
@@ -314,14 +267,10 @@ def incremental_exact_dedup(new_docs_ds, store_dir: str, commit: bool = False):
         if commit and survivors.count() > 0:
             gen = meta["generation"] + 1
             with_prefix = survivors.map_batches(
-                lambda t: t.append_column(
-                    "p", pc.utf8_slice_codeunits(
-                        pc.cast(t.column("h"), pa.string()), 0, prefix_len
-                    )
-                ),
+                _with_prefix, fn_kwargs={"prefix_len": prefix_len},
                 batch_format="pyarrow",
             )
-            new_parts = _write_generation(with_prefix, store_dir, gen)
+            new_parts = _write_hashes(with_prefix, store_dir, gen)
             partitions = {p: list(rels) for p, rels in meta["partitions"].items()}
             for p, rels in new_parts.items():
                 partitions.setdefault(p, []).extend(rels)

@@ -47,6 +47,16 @@ TRIPLES_SCHEMA = pa.schema(
 )
 
 
+def _triple_key(triple) -> tuple:
+    """Sort key of a kernel triple: the triple itself, with a literal
+    object's missing language or datatype (``None``) read as ``""``.
+    The kernel returns a set, whose order follows ``hash(None)`` — the
+    object's address, which differs between processes whatever the
+    hash seed."""
+    s, p, o = triple
+    return triple if len(o) == 2 else (s, p, (o[0], o[1], o[2] or "", o[3] or ""))
+
+
 def graph_iri(conv_id: str, turn_idx: int) -> str:
     """Skolem per-turn document/graph IRI (also the RDFa base, so that
     relative IRIs in fragments resolve inside the turn's namespace)."""
@@ -108,7 +118,7 @@ class RdfaDistiller:
             out["turn_idx"] += [turn_idx] * n
             out["graph"] += [g_iri] * n
             out["kind"] += ["triple"] * len(triples) + ["diag"] * len(diags)
-            for (s, p, o) in triples:
+            for (s, p, o) in sorted(triples, key=_triple_key):
                 subj(s[1])
                 subj_kind("iri" if s[0] == IRI else "bnode")
                 pred(p[1])

@@ -30,20 +30,22 @@ table format would (manifest-swapped partition generations):
   re-pointed, never copied, and a crash mid-update leaves the old
   manifest reading the old snapshot (snapshot isolation for free).
 
-File layout: every writer (build, update, graph transforms) goes
-through ``_write_generation``, whose write tasks each gather blocks up
-to ``ROWS_PER_FILE`` rows and write each partition they hold as one
-Parquet file with one row group, in input order.  A generation of at
-most ``ROWS_PER_FILE`` rows is one write task, so each partition it
-writes is one file — a pruned read opens one file per predicate.  The
-coalescing is per write task: a larger generation gives each partition
-about one file per ``ROWS_PER_FILE``-row slice of the whole generation
-(a per-partition ``keyed_exchange`` before the write would fold those,
-if the Ray path ever needs it).  Rows are not sorted: a partition
-reads back in input order, which is the order a LIMIT without ORDER BY
-sees.  Stores written with one file per Ray block (several files of
-many row groups per partition) read and update unchanged; their
-untouched partitions keep their files.
+File layout: every writer (build, update, graph transforms) writes
+through ``commit.write_partitioned`` keyed on ``pred_key``.  Its write
+tasks each gather blocks up to ``ROWS_PER_FILE`` rows and write each
+partition they hold as one Parquet file with one row group, in input
+order; each partition then moves to its generation directory
+``parts/<token>-g<N>``.  A generation of at most ``ROWS_PER_FILE`` rows
+is one write task, so each partition it writes is one file — a pruned
+read opens one file per predicate.  The coalescing is per write task:
+a larger generation gives each partition about one file per
+``ROWS_PER_FILE``-row slice of the whole generation (a per-partition
+``keyed_exchange`` before the write would fold those, if the Ray path
+ever needs it).  Rows are not sorted: a partition reads back in input
+order, which is the order a LIMIT without ORDER BY sees.  Stores
+written with one file per Ray block (several files of many row groups
+per partition) read and update unchanged; their untouched partitions
+keep their files.
 
 The ``_meta.json`` manifest doubles as the completeness sentinel: it
 is the LAST artifact published on both build and update — a store
@@ -160,61 +162,10 @@ def _add_key(batch: pa.Table) -> pa.Table:
 ROWS_PER_FILE = 400_000
 
 
-def _partition_sink(staging: str):
-    """A Ray Data sink whose write tasks each get blocks up to
-    ``ROWS_PER_FILE`` rows and write them as
-    ``staging/<token>/<task>-<n>.parquet``: each partition's rows in
-    input order, at most ``ROWS_PER_FILE`` rows per file, each file one
-    row group.  File names sort in task order, so a partition reads
-    back in the order its rows were written."""
-    from ray.data import Datasink
-
-    cap = ROWS_PER_FILE
-
-    class PartitionSink(Datasink):
-        min_rows_per_write = cap
-
-        def write(self, blocks, ctx):
-            import pyarrow.compute as pc
-            import pyarrow.parquet as pq
-
-            tables = [b for b in blocks if b.num_rows]
-            if not tables:
-                return
-            table = pa.concat_tables(tables, promote_options="permissive")
-            keys = table.column("pred_key")
-            rows = table.drop_columns(["pred_key"])
-            for token in pc.unique(keys).to_pylist():
-                part = rows.filter(pc.equal(keys, token))
-                out = os.path.join(staging, token)
-                os.makedirs(out, exist_ok=True)
-                for n, off in enumerate(range(0, part.num_rows, cap)):
-                    path = os.path.join(out, "%06d-%06d.parquet" % (ctx.task_idx, n))
-                    pq.write_table(part.slice(off, cap), path, row_group_size=cap)
-
-    return PartitionSink()
-
-
-def _write_generation(keyed_ds, store_dir: str, gen: int) -> dict:
-    """Write one generation under a staging dir (``_partition_sink``),
-    then move each partition to its generation directory.  Returns
-    {token: relpath}."""
-    import shutil
-
-    staging = os.path.join(store_dir, "_stage_g%d" % gen)
-    if os.path.isdir(staging):
-        shutil.rmtree(staging)
-    keyed_ds.write_datasink(_partition_sink(staging))
-    if not os.path.isdir(staging):  # empty dataset writes nothing
-        return {}
-
-    parts = {}
-    for token in sorted(os.listdir(staging)):
-        rel = os.path.join("parts", "%s-g%d" % (token, gen))
-        commit.move(os.path.join(staging, token), os.path.join(store_dir, rel))
-        parts[token] = rel
-    shutil.rmtree(staging)
-    return parts
+def _partition_dirs(files: dict) -> dict:
+    """``commit.write_partitioned``'s ``{token: [file, ...]}`` as the
+    manifest's ``{token: partition directory}``."""
+    return {token: os.path.dirname(rels[0]) for token, rels in files.items()}
 
 
 def _pred_tokens(ds, rows=None) -> set:
@@ -272,9 +223,9 @@ def _partition_files(store_dir: str, partitions: dict, tokens) -> list:
 def persist_kg(triples_ds, store_dir: str) -> dict:
     """One-shot store build from a (subj, pred, obj_value) Dataset.
     Returns the meta dict.  Predicate-partitioned so later reads prune;
-    each partition is written compacted (``_write_generation``): one
-    file with one row group per ``ROWS_PER_FILE`` rows of the build, in
-    input order, with no extra pass and no shuffle."""
+    each partition is written compacted (``commit.write_partitioned``):
+    one file with one row group per ``ROWS_PER_FILE`` rows of the
+    build, in input order, with no extra pass and no shuffle."""
     import shutil
 
     os.makedirs(store_dir, exist_ok=True)
@@ -296,9 +247,10 @@ def persist_kg(triples_ds, store_dir: str) -> dict:
         else:
             gen = old["generation"] + 1
 
-        parts = _write_generation(
-            triples_ds.map_batches(_add_key, batch_format="pyarrow"), store_dir, gen
-        )
+        parts = _partition_dirs(commit.write_partitioned(
+            triples_ds.map_batches(_add_key, batch_format="pyarrow"),
+            "pred_key", store_dir, gen, ROWS_PER_FILE,
+        ))
         return _publish(store_dir, gen, parts, _sniff_quads(store_dir, parts))
 
 
@@ -417,9 +369,10 @@ def update_kg(store_dir: str, insert_ds=None, delete_ds=None, quads=None) -> dic
             ins = insert_ds.map_batches(norm, batch_format="pyarrow")
             updated = distinct(updated.union(ins), cols)
 
-        new_parts = _write_generation(
-            updated.map_batches(_add_key, batch_format="pyarrow"), store_dir, gen
-        )
+        new_parts = _partition_dirs(commit.write_partitioned(
+            updated.map_batches(_add_key, batch_format="pyarrow"),
+            "pred_key", store_dir, gen, ROWS_PER_FILE,
+        ))
         return _publish(store_dir, gen, _repoint(meta["partitions"], touched, new_parts), quads)
 
 
@@ -488,9 +441,10 @@ def transform_graphs(store_dir: str, affected, rewrite) -> dict:
         updated = read_parquet_clean(paths, columns=list(_QCOLS)).map_batches(
             rewrite, batch_format="pyarrow"
         )
-        new_parts = _write_generation(
-            updated.map_batches(_add_key, batch_format="pyarrow"), store_dir, gen
-        )
+        new_parts = _partition_dirs(commit.write_partitioned(
+            updated.map_batches(_add_key, batch_format="pyarrow"),
+            "pred_key", store_dir, gen, ROWS_PER_FILE,
+        ))
         return _publish(store_dir, gen, _repoint(partitions, touched, new_parts), True)
 
 

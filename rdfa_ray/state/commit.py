@@ -5,6 +5,11 @@ index, vocab cache).
 * ``atomic_write``: content goes to a unique tmp name (pid + uuid) next
   to the target and is renamed into place — a crash leaves an orphan
   ``*.tmp``, never a torn file.
+* ``write_partitioned``: the one keyed Parquet writer (KG store, dedup
+  hash store, IVF index).  A Ray Data sink writes each key's rows in
+  input order under a staging directory, returns the files it wrote,
+  and each key's directory is moved to ``parts/<key>-g<gen>``.  Nothing
+  is globbed: the caller records the returned paths in its manifest.
 * ``publish_manifest``: the manifest is written the same way and LAST;
   it is the completeness sentinel.  ``read_manifest`` returns ``None``
   for an absent manifest or one of a foreign format.
@@ -53,6 +58,84 @@ def move(src: str, dst: str) -> None:
         shutil.rmtree(dst)
     os.makedirs(os.path.dirname(dst), exist_ok=True)
     os.replace(src, dst)
+
+
+def _sink_class():
+    """The sink behind ``write_partitioned``.  Built on first use, so
+    importing this module does not import Ray Data."""
+    from ray.data import Datasink
+
+    class PartitionedSink(Datasink):
+        """A write task sorts its rows by ``key`` once (stable: each key
+        keeps its input order), writes each key's run under
+        ``staging/<key>/`` and returns ``{key: [file names]}``; the
+        driver's ``on_write_complete`` gathers those in ``files``."""
+
+        def __init__(self, key: str, staging: str, rows_per_file: int):
+            self.key, self.staging, self.cap = key, staging, rows_per_file
+            self.files: dict = {}
+
+        @property
+        def min_rows_per_write(self) -> int:
+            return self.cap
+
+        def write(self, blocks, ctx) -> dict:
+            import pyarrow as pa
+            import pyarrow.compute as pc
+            import pyarrow.parquet as pq
+
+            tables = [b for b in blocks if b.num_rows]
+            if not tables:
+                return {}
+            table = pa.concat_tables(tables, promote_options="permissive")
+            table = table.take(pc.sort_indices(table, [(self.key, "ascending")]))
+            runs = pc.run_end_encode(table.column(self.key).combine_chunks())
+            rows = table.drop_columns([self.key])
+            written, start = {}, 0
+            for value, end in zip(runs.values.to_pylist(), runs.run_ends.to_pylist()):
+                out = os.path.join(self.staging, value)
+                os.makedirs(out, exist_ok=True)
+                names = written[value] = []
+                for off in range(start, end, self.cap):
+                    names.append("%06d-%06d.parquet" % (ctx.task_idx, len(names)))
+                    part = rows.slice(off, min(self.cap, end - off))
+                    pq.write_table(part, os.path.join(out, names[-1]), row_group_size=self.cap)
+                start = end
+            return written
+
+        def on_write_complete(self, write_result) -> None:
+            for written in write_result.write_returns:
+                for value, names in written.items():
+                    self.files.setdefault(value, []).extend(names)
+
+    return PartitionedSink
+
+
+def write_partitioned(ds, key: str, store_dir: str, gen: int, rows_per_file: int) -> dict:
+    """Write ``ds`` as generation ``gen`` of a store partitioned on the
+    string column ``key``: each key value's rows, in input order and
+    without the key column, become
+    ``parts/<value>-g<gen>/<task>-<n>.parquet`` files of at most
+    ``rows_per_file`` rows and one row group each (names sort in task
+    order).  A write task gathers up to ``rows_per_file`` input rows;
+    Ray fuses the maps in front of the sink into the write task, so
+    those are the rows going into the maps.  The files land under
+    ``_stage_g<gen>``, then each key's directory is moved into place,
+    replacing a crashed writer's leftover at that path.  Returns
+    ``{value: [relpath, ...]}``, the store-relative paths in read order
+    (empty for an empty ``ds``).  The caller holds ``writer_lock`` and
+    publishes the manifest."""
+    staging = os.path.join(store_dir, "_stage_g%d" % gen)
+    shutil.rmtree(staging, ignore_errors=True)  # a crashed writer's leftovers
+    sink = _sink_class()(key, staging, rows_per_file)
+    ds.write_datasink(sink)
+    parts = {}
+    for value in sorted(sink.files):
+        rel = os.path.join("parts", "%s-g%d" % (value, gen))
+        move(os.path.join(staging, value), os.path.join(store_dir, rel))
+        parts[value] = [os.path.join(rel, name) for name in sorted(sink.files[value])]
+    shutil.rmtree(staging, ignore_errors=True)
+    return parts
 
 
 def read_manifest(store_dir: str, name: str, format: int | None = None) -> dict | None:
@@ -111,20 +194,24 @@ def _sweep_tmps(store_dir: str) -> None:
 
 
 def vacuum(store_dir: str, subdir: str, referenced) -> list:
-    """Delete each entry of ``store_dir/subdir`` whose store-relative
-    path is not ``referenced``, keeping ``.``/``_``-prefixed names (lock,
-    manifests).  The caller holds ``writer_lock`` and read
-    ``referenced`` from the manifest under it.  Returns the removed
-    relative paths, sorted."""
+    """Delete each entry of ``store_dir/subdir`` that holds no
+    ``referenced`` store-relative path (a referenced file or directory,
+    or a directory with a referenced file inside), keeping
+    ``.``/``_``-prefixed names (lock, manifests).  The caller holds
+    ``writer_lock`` and read ``referenced`` from the manifest under it.
+    Returns the removed relative paths, sorted."""
     base = os.path.join(store_dir, subdir)
     if not os.path.isdir(base):
         return []
-    keep = {os.path.normpath(r) for r in referenced}
+    keep = {
+        os.path.relpath(os.path.normpath(r), subdir).split(os.sep)[0]
+        for r in referenced
+    }
     removed = []
     for name in sorted(os.listdir(base)):
-        rel = os.path.normpath(os.path.join(subdir, name))
-        if rel in keep or name.startswith((".", "_")):
+        if name in keep or name.startswith((".", "_")):
             continue
+        rel = os.path.join(subdir, name)
         full = os.path.join(store_dir, rel)
         if os.path.isdir(full):
             shutil.rmtree(full)

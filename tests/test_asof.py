@@ -1,6 +1,7 @@
 """As-of join stage tests (stages/asof.py)."""
 
 import datetime
+import os
 
 import pandas as pd
 import pytest
@@ -116,14 +117,19 @@ def test_ivf_search_prunes_partitions(ray_session, tmp_path_factory):
     import ray.data as rd
 
     from rdfa_ray.stages.ann_index import build_ivf_index, ivf_search
+    from rdfa_ray.state import commit
 
     sf = "/root/testdata/sf0.001"
     embs = rd.read_parquet("%s/embeddings.parquet" % sf)
     index_dir = str(tmp_path_factory.mktemp("ivf_idx2"))
     build_ivf_index(embs, index_dir, n_cells=8)
-    # partitioned layout on disk: cell=N directories
-    cells = [d for d in os.listdir(os.path.join(index_dir, "vectors")) if d.startswith("cell=")]
+    # partitioned layout on disk: the manifest lists each cell's files,
+    # one directory per cell
+    cells = commit.read_manifest(index_dir, "_meta.json")["partitions"]
     assert len(cells) >= 2
+    assert {os.path.dirname(rel) for rels in cells.values() for rel in rels} == {
+        os.path.join("parts", d) for d in os.listdir(os.path.join(index_dir, "parts"))
+    }
     qdf = embs.filter(expr="vec_id < 2").to_pandas()
     got = ivf_search(index_dir, qdf, k=3, n_probe=1).to_pandas()
     assert len(got) > 0  # approximate search over pruned partitions works
@@ -132,7 +138,7 @@ def test_ivf_search_prunes_partitions(ray_session, tmp_path_factory):
 def _vector_files(index_dir):
     import os
 
-    root = os.path.join(index_dir, "vectors")
+    root = os.path.join(index_dir, "parts")
     return {
         os.path.join(d, f): os.stat(os.path.join(d, f)).st_ino
         for d, _dirs, files in os.walk(root)
@@ -185,3 +191,52 @@ def test_ivf_index_two_threads_build_one_index(ray_session, tmp_path_factory, mo
     # a complete index is loaded, never rebuilt
     assert np.array_equal(ann_index.build_ivf_index(embs, index_dir), cents[0])
     assert len(builds) == 1
+
+
+def test_ivf_cells_read_back_in_input_order(ray_session, tmp_path):
+    """A build from many small multi-chunk blocks, run where the
+    workers' Arrow thread pool has 8 threads: every cell's files, in
+    manifest order, hold that cell's vectors in input ``vec_id`` order
+    (pyarrow's multi-threaded dataset writer reorders rows within a
+    partition across the chunks of one block)."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    from rdfa_ray.state import commit
+
+    rng = np.random.default_rng(7)
+    chunks = [
+        pa.table({
+            "vec_id": pa.array(range(i, i + 25), pa.int64()),
+            "embedding": pa.array(rng.normal(size=(25, 8)).tolist(), pa.list_(pa.float32())),
+        })
+        for i in range(0, 1000, 25)
+    ]
+    blocks = [pa.concat_tables(chunks[i:i + 5]) for i in range(0, 40, 5)]
+    index_dir = str(tmp_path / "ivf_order")
+
+    # a child task inherits the runtime_env, so the write tasks this
+    # build launches run with the 8-thread pool too
+    @ray.remote(num_cpus=0, runtime_env={"env_vars": {"OMP_NUM_THREADS": "8"}})
+    def build():
+        from rdfa_ray.stages.ann_index import build_ivf_index
+
+        build_ivf_index(rd.from_arrow(blocks), index_dir, n_cells=8)
+        return pa.cpu_count()
+
+    assert ray.get(build.remote()) == 8
+    cells = commit.read_manifest(index_dir, "_meta.json")["partitions"]
+    assert len(cells) >= 2
+    seen = []
+    for cell, rels in cells.items():
+        t = pa.concat_tables(
+            [pq.read_table(os.path.join(index_dir, r), columns=["vec_id", "cell"]) for r in rels]
+        )
+        ids = t.column("vec_id").to_pylist()
+        assert ids == sorted(ids), cell
+        assert set(t.column("cell").to_pylist()) == {int(cell)}
+        seen += ids
+    assert sorted(seen) == list(range(1000))

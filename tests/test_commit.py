@@ -68,6 +68,59 @@ def test_vacuum_keeps_referenced_lock_and_manifests(tmp_path):
     assert commit.vacuum(d, "missing", []) == []
 
 
+def test_vacuum_keeps_entries_holding_referenced_files(tmp_path):
+    """A manifest may reference files inside generation directories
+    (dedup store, IVF index) or flat files (dedup stores of the older
+    layout): a top-level entry holding any referenced path survives."""
+    d = str(tmp_path)
+    for rel in ("parts/aa-g1/000000-000000.parquet", "parts/aa-g1/000001-000000.parquet",
+                "parts/bb-g2/000000-000000.parquet", "parts/aa-g1-3f2e.parquet",
+                "parts/cc-g2/000000-000000.parquet", "parts/dd-g1-0bad.parquet"):
+        os.makedirs(os.path.dirname(os.path.join(d, rel)), exist_ok=True)
+        open(os.path.join(d, rel), "w").close()
+    referenced = ["parts/aa-g1/000000-000000.parquet", "./parts/bb-g2/000000-000000.parquet",
+                  "parts/aa-g1-3f2e.parquet"]
+    assert commit.vacuum(d, "parts", referenced) == ["parts/cc-g2", "parts/dd-g1-0bad.parquet"]
+    assert sorted(os.listdir(os.path.join(d, "parts"))) == ["aa-g1", "aa-g1-3f2e.parquet", "bb-g2"]
+    # a kept directory is kept whole
+    assert sorted(os.listdir(os.path.join(d, "parts", "aa-g1"))) == [
+        "000000-000000.parquet", "000001-000000.parquet"]
+
+
+def test_vacuum_hash_store_keeps_flat_and_generation_files(ray_session, tmp_path):
+    """A dedup store whose manifest lists flat files of the older layout
+    next to generation-directory files: commits and vacuums keep both,
+    and both still reject what they hold."""
+    import shutil
+
+    from rdfa_ray.stages.dedupstore import (
+        incremental_exact_dedup,
+        persist_hash_store,
+        vacuum_hash_store,
+    )
+
+    store = str(tmp_path / "hs")
+    persist_hash_store(_docs(CORPUS), store)
+    meta = commit.read_manifest(store, "_meta.json")
+    # move one prefix's files to flat names, as the older layout wrote them
+    prefix = sorted(meta["partitions"])[0]
+    flat = []
+    for n, rel in enumerate(meta["partitions"][prefix]):
+        flat.append("parts/%s-g1-%04x.parquet" % (prefix, n))
+        shutil.copy(os.path.join(store, rel), os.path.join(store, flat[-1]))
+    meta["partitions"][prefix] = flat
+    commit.publish_manifest(store, "_meta.json", meta)
+
+    incremental_exact_dedup(_docs([(500, "fresh x"), (501, "fresh y")]), store, commit=True)
+    vacuum_hash_store(store)
+    listed = [r for rels in commit.read_manifest(store, "_meta.json")["partitions"].values()
+              for r in rels]
+    assert set(flat) <= set(listed)
+    assert all(os.path.exists(os.path.join(store, r)) for r in listed)
+    replay = incremental_exact_dedup(_docs(CORPUS + [(500, "fresh x")]), store).to_pandas()
+    assert len(replay) == 0
+
+
 def test_lock_is_reentrant_and_sweeps_tmps_on_release(tmp_path):
     d = str(tmp_path)
     stray = tmp_path / "nt" / "part-00003.nq.tmp"
@@ -303,6 +356,83 @@ def test_incremental_dedup_commit_crash(ray_session, tmp_path, monkeypatch):
     incremental_exact_dedup(_docs(drop), store, commit=True)  # rerun completes
     assert len(incremental_exact_dedup(_docs(drop), store).to_pandas()) == 0
     assert _tmps(store) == []
+
+
+def _crash_in_write_task(monkeypatch):
+    """Make every write task of ``commit.write_partitioned`` raise after
+    writing its files."""
+    real = commit._sink_class()
+
+    class CrashingSink(real):
+        # pickled by value: the raise happens inside the write task
+        def write(self, blocks, ctx):
+            written = super().write(blocks, ctx)
+            raise RuntimeError("injected crash after writing %s" % sorted(written))
+
+    monkeypatch.setattr(commit, "_sink_class", lambda: CrashingSink)
+
+
+def _staged_files(store):
+    return glob.glob(os.path.join(store, "_stage_g*", "*", "*.parquet"))
+
+
+def _entries(store):
+    return sorted(os.listdir(os.path.join(store, "parts")))
+
+
+def test_update_kg_crash_inside_write_task(ray_session, tmp_path, monkeypatch):
+    from rdfa_ray.stages.kgstore import persist_kg, store_meta, update_kg, vacuum_store
+
+    store = str(tmp_path / "kg")
+    persist_kg(_kg_ds(GEN1), store)
+    meta, rows = store_meta(store), _kg_rows(store)
+
+    _crash_in_write_task(monkeypatch)
+    with pytest.raises(Exception, match="injected crash"):
+        update_kg(store, insert_ds=_kg_ds(GEN2), delete_ds=_kg_ds(GEN1[:2]))
+    monkeypatch.undo()
+    assert _staged_files(store)  # the task's files landed before it died
+    assert store_meta(store) == meta
+    assert _kg_rows(store) == rows
+
+    update_kg(store, insert_ds=_kg_ds(GEN2), delete_ds=_kg_ds(GEN1[:2]))
+    assert _kg_rows(store) == sorted(GEN1[2:] + GEN2)
+    vacuum_store(store)
+    assert _entries(store) == sorted(
+        os.path.basename(r) for r in store_meta(store)["partitions"].values())
+    assert _staged_files(store) == [] and _tmps(store) == []
+
+
+def test_incremental_dedup_crash_inside_write_task(ray_session, tmp_path, monkeypatch):
+    from rdfa_ray.stages.dedupstore import (
+        incremental_exact_dedup,
+        persist_hash_store,
+        vacuum_hash_store,
+    )
+
+    store = str(tmp_path / "hs")
+    persist_hash_store(_docs(CORPUS), store)
+    meta = commit.read_manifest(store, "_meta.json")
+    drop = [(100, "corpus doc 3"), (101, "fresh a"), (102, "fresh b")]
+
+    _crash_in_write_task(monkeypatch)
+    with pytest.raises(Exception, match="injected crash"):
+        incremental_exact_dedup(_docs(drop), store, commit=True)
+    monkeypatch.undo()
+    assert _staged_files(store)
+    assert commit.read_manifest(store, "_meta.json") == meta
+    survivors = incremental_exact_dedup(_docs(drop), store).to_pandas()
+    assert sorted(survivors["doc_id"]) == [101, 102]
+
+    incremental_exact_dedup(_docs(drop), store, commit=True)  # rerun completes
+    assert len(incremental_exact_dedup(_docs(drop), store).to_pandas()) == 0
+    vacuum_hash_store(store)
+    listed = commit.read_manifest(store, "_meta.json")["partitions"].values()
+    assert _entries(store) == sorted({r.split(os.sep)[1] for rels in listed for r in rels})
+    on_disk = sorted(os.path.relpath(f, store)
+                     for f in glob.glob(os.path.join(store, "parts", "*", "*")))
+    assert on_disk == sorted(r for rels in listed for r in rels)
+    assert _staged_files(store) == [] and _tmps(store) == []
 
 
 def test_concurrent_dedup_commits_keep_every_drop(ray_session, tmp_path):

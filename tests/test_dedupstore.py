@@ -97,9 +97,12 @@ def _n_files(store):
 
 
 def _parts_on_disk(store):
+    """Store-relative paths of every Parquet file under parts/, flat or
+    inside a generation directory."""
     return sorted(
-        f for f in os.listdir(os.path.join(store, "parts"))
-        if f.endswith(".parquet")
+        os.path.relpath(os.path.join(d, f), store)
+        for d, _dirs, files in os.walk(os.path.join(store, "parts"))
+        for f in files if f.endswith(".parquet")
     )
 
 
@@ -121,7 +124,7 @@ def test_compact_after_many_drops_shrinks_and_preserves_semantics(
     assert _n_files(store) < before_files
     # superseded inputs vacuumed: disk matches manifest exactly
     assert _parts_on_disk(store) == sorted(
-        os.path.basename(r) for v in after["partitions"].values() for r in v
+        r for v in after["partitions"].values() for r in v
     )
 
     # semantics unchanged: everything ever committed is still rejected,
@@ -148,8 +151,7 @@ def test_rebuild_over_complete_store_vacuums_stale_parts(ray_session, tmp_path):
     on_disk = set(_parts_on_disk(store))
     assert not (on_disk & set(stale))
     assert on_disk == {
-        os.path.basename(r)
-        for v in _manifest(store)["partitions"].values() for r in v
+        r for v in _manifest(store)["partitions"].values() for r in v
     }
 
 
@@ -166,8 +168,7 @@ def test_vacuum_removes_tmp_orphans_only_outside_manifest(ray_session, tmp_path)
     assert not os.path.exists(orphan) and not os.path.exists(tmp_orphan)
     # referenced files untouched
     assert _parts_on_disk(store) == sorted(
-        os.path.basename(r)
-        for v in _manifest(store)["partitions"].values() for r in v
+        r for v in _manifest(store)["partitions"].values() for r in v
     )
 
 
@@ -181,7 +182,7 @@ def test_build_chunks_large_prefixes_into_bounded_files(ray_session, tmp_path):
         ds_mod._hash_prefix_batch, batch_format="pyarrow"
     )
     os.makedirs(store, exist_ok=True)
-    parts = ds_mod._write_generation(hashed, store, gen=1, rows_per_file=2)
+    parts = ds_mod._write_hashes(hashed, store, gen=1, rows_per_file=2)
     publish_manifest(store, "_meta.json", {"format": 1, "generation": 1, "partitions": parts})
     import pyarrow.parquet as pq
 

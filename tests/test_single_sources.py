@@ -9,7 +9,9 @@ instead.  The SPARQL query kernels and the store compute on
 ``pa.Table`` only: no pandas import, ``pd.`` use or pandas batch in
 their modules, no ``.to_pandas(`` round trip in the store, and every
 Arrow ``Table.join`` is on an allowlist (the join kernels share
-``stages/join.join_indices``)."""
+``stages/join.join_indices``).  Keyed Parquet output has one writer:
+``state/commit.py`` holds the only Ray Data sink, and no module writes
+a hive-partitioned dataset."""
 
 import ast
 import pathlib
@@ -160,6 +162,23 @@ def _is_table_join(call):
 def test_table_join_sites_are_allowlisted():
     found = {(rel, fn) for rel, fn, _ in _calls({"join"}, _is_table_join)}
     assert found == TABLE_JOIN_ALLOWED
+
+
+def test_one_keyed_parquet_writer():
+    hive, sinks = [], []
+    for path in sorted(ROOT.rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        text = path.read_text()
+        if "partition_cols" in text:
+            hive.append(rel)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef) and any(
+                (b.attr if isinstance(b, ast.Attribute) else getattr(b, "id", None)) == "Datasink"
+                for b in node.bases
+            ):
+                sinks.append((rel, node.name))
+    assert hive == []
+    assert sinks == [("state/commit.py", "PartitionedSink")]
 
 
 def _old_graph_mix(x):
