@@ -56,6 +56,22 @@ Every writer (build, update, clear, graph transforms, vacuum) runs
 under the store's single-writer lock; the commit protocol lives in
 ``state/commit.py``.
 
+Read path: readers (``read_kg_table``, ``read_kg``, ``scan_rows``,
+``store_has_graph``, ``sparql_text.explain``) share a process-local,
+read-only ``StoreSnapshot`` of the current manifest, keyed on the
+``os.stat`` of ``_meta.json`` (device, inode, size, ``mtime_ns``)
+taken before the manifest is read.  It keeps the parsed manifest and,
+from first use, each partition's files, footer counts and predicate
+IRIs; decoded partitions stay within ``SNAPSHOT_TABLE_BYTES`` across
+stores (LRU).  A warm query is one ``stat`` and a column ``select``;
+the residual filter runs only on a partition holding a predicate the
+query did not ask for.  Every publish swaps the manifest file, so the
+key changes (this process's writers also drop the snapshot); a crashed
+writer leaves the old manifest and its snapshot serving.  Writers
+re-read the manifest from disk under the writer lock.  One lock guards
+the snapshot and table maps, so threads share them; a snapshot's lazy
+maps only gain equal values.
+
 At cluster scale the store build is the only full-data pass; a BGP
 whose patterns bind 2 of 40 predicates opens 2/40ths of the files, and
 a vocabulary-migration update touching one predicate rewrites 1/40th.
@@ -63,8 +79,11 @@ a vocabulary-migration update touching one predicate rewrites 1/40th.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
+import threading
+from collections import OrderedDict
 
 import pyarrow as pa
 from ..sources.io import read_parquet as read_parquet_clean
@@ -76,6 +95,7 @@ _COLS = ("subj", "pred", "obj_value")
 _QCOLS = ("subj", "pred", "obj_value", "graph")
 
 
+@functools.lru_cache(maxsize=4096)
 def pred_key(pred: str) -> str:
     """Deterministic partition token for a predicate IRI: the last two
     path/fragment segments, sanitized to [A-Za-z0-9_] and length-capped
@@ -110,7 +130,10 @@ def store_has_graph(store_dir: str) -> bool:
     before the flag existed) fall back to sniffing one partition file's
     schema.  An empty store with no recorded form reads as triple-form
     — the next insert's delta schema decides what it becomes."""
-    meta = _current_meta(store_dir)
+    return _has_graph(store_dir, _current_snapshot(store_dir).meta)
+
+
+def _has_graph(store_dir: str, meta: dict) -> bool:
     if "quads" in meta:
         return bool(meta["quads"])
     return _sniff_quads(store_dir, meta["partitions"])
@@ -203,6 +226,8 @@ def _publish(store_dir: str, gen: int, partitions: dict, quads) -> dict:
     completed."""
     meta = {"format": 2, "generation": gen, "partitions": partitions, "quads": bool(quads)}
     commit.publish_manifest(store_dir, _META, meta)
+    with _lock:  # this process's readers reload even within one mtime tick
+        _forget(os.path.abspath(store_dir))
     return meta
 
 
@@ -305,9 +330,10 @@ def update_kg(store_dir: str, insert_ds=None, delete_ds=None, quads=None) -> dic
         if not touched:
             return meta
 
+        has_graph = _has_graph(store_dir, meta)
         if quads is None:
-            quads = store_has_graph(store_dir)
-        elif meta["partitions"] and bool(quads) != store_has_graph(store_dir):
+            quads = has_graph
+        elif meta["partitions"] and bool(quads) != has_graph:
             # a forced form that contradicts a NON-EMPTY store must refuse
             # even when every delta predicate is new — otherwise the delta
             # writes partitions of the other shape next to the existing
@@ -315,7 +341,7 @@ def update_kg(store_dir: str, insert_ds=None, delete_ds=None, quads=None) -> dic
             raise ValueError(
                 "update_kg(quads=%r) against a non-empty %s store — the row"
                 " shapes are incompatible; rebuild via persist_kg"
-                % (quads, "quad" if store_has_graph(store_dir) else "triple")
+                % (quads, "quad" if has_graph else "triple")
             )
         cols = list(_QCOLS) if quads else list(_COLS)
 
@@ -414,7 +440,7 @@ def transform_graphs(store_dir: str, affected, rewrite) -> dict:
 
     with commit.writer_lock(store_dir):
         meta = _current_meta(store_dir)
-        if not store_has_graph(store_dir):
+        if not _has_graph(store_dir, meta):
             raise ValueError(
                 "graph management needs a quad store (rows with a 'graph'"
                 " column); this store at %s is triple-form" % store_dir
@@ -459,25 +485,159 @@ def vacuum_store(store_dir: str) -> list:
         return commit.vacuum(store_dir, "parts", live)
 
 
-def _pruned_read(store_dir: str, preds, columns):
-    """What a read of ``preds`` opens: ``(paths, read_cols, want,
-    empty)`` — the Parquet files, the columns to read (pred added
-    ONLY when the residual exact filter needs it; a plain projection
-    must not scan pred for nothing), the columns to return, and the
-    typed empty table for a read that opens no file."""
-    meta = _current_meta(store_dir)
-    partitions = meta["partitions"]
-    want = list(columns) if columns is not None else None
-    need_pred = preds is not None and want is not None and "pred" not in want
-    read_cols = [*want, "pred"] if need_pred else want
-    tokens = (
-        sorted(partitions)
-        if preds is None
-        else sorted({pred_key(p) for p in preds} & set(partitions))
-    )
-    layout = list(_QCOLS) if meta.get("quads") else list(_COLS)
-    empty = pa.Table.from_pydict({c: pa.array([], pa.string()) for c in (want or layout)})
-    return _partition_files(store_dir, partitions, tokens), read_cols, want, empty
+class StoreSnapshot:
+    """One published manifest of one store, as this process reads it.
+    A manifest's files are never rewritten, so each field is filled on
+    first use and never changes: ``files`` (token -> Parquet paths),
+    ``footers`` (token -> (rows, row groups)) and ``preds`` (token ->
+    the predicate IRIs its rows hold, known once it was decoded)."""
+
+    def __init__(self, store_dir: str, key: tuple, meta: dict):
+        self.dir, self.key, self.meta = store_dir, key, meta
+        self.parts = meta["partitions"]
+        self.files, self.footers, self.preds = {}, {}, {}
+
+    def tokens(self, preds=None) -> list:
+        """The partition tokens a read of ``preds`` opens (all when None)."""
+        if preds is None:
+            return sorted(self.parts)
+        return sorted({pred_key(p) for p in preds} & self.parts.keys())
+
+    def paths(self, token: str) -> list:
+        if token not in self.files:
+            import glob
+
+            self.files[token] = sorted(
+                glob.glob(os.path.join(self.dir, self.parts[token], "*.parquet"))
+            )
+        return self.files[token]
+
+    def footer(self, token: str) -> tuple[int, int]:
+        if token not in self.footers:
+            import pyarrow.parquet as pq
+
+            mds = [pq.ParquetFile(p).metadata for p in self.paths(token)]
+            self.footers[token] = (sum(m.num_rows for m in mds), sum(m.num_row_groups for m in mds))
+        return self.footers[token]
+
+    def rows(self, tokens, stop_after: int | None = None) -> int:
+        """Footer rows of ``tokens`` (before the residual filter),
+        opening no footer once the sum passes ``stop_after``."""
+        n = 0
+        for t in tokens:
+            n += self.footer(t)[0]
+            if stop_after is not None and n > stop_after:
+                break
+        return n
+
+    def layout(self, tokens) -> tuple[int, int]:
+        """``(files, row groups)`` of ``tokens``."""
+        return sum(len(self.paths(t)) for t in tokens), sum(self.footer(t)[1] for t in tokens)
+
+    def empty(self, columns) -> pa.Table:
+        """The typed empty table of a read that opens no file."""
+        layout = _QCOLS if self.meta.get("quads") else _COLS
+        return pa.Table.from_pydict({c: pa.array([], pa.string()) for c in (columns or layout)})
+
+
+# Decoded partition tables kept for reuse, summed over every store this
+# process reads; the least recently used leave first and a larger table
+# is never kept.  Measured on the kg_query store (seed 61, 28,404 quads):
+# the whole store decodes to 4.1 MB and the partitions its templates
+# read to 2.5 MB, so they fit many times over; a read at
+# sparql_text.LOCAL_MAX_ROWS (400k rows) decodes to ~55 MB and fits once.
+SNAPSHOT_TABLE_BYTES = 64 << 20
+_MAX_STORES = 64  # snapshots (manifest + file lists) kept, LRU
+_lock = threading.Lock()
+_snapshots: OrderedDict = OrderedDict()  # absolute store dir -> StoreSnapshot
+_tables: OrderedDict = OrderedDict()  # (snapshot, token) -> (table, bytes)
+_table_bytes = 0
+
+
+def _forget(store: str) -> None:
+    """Drop ``store``'s snapshot and its tables (caller holds ``_lock``)."""
+    global _table_bytes
+    snap = _snapshots.pop(store, None)
+    for key in [k for k in _tables if k[0] is snap]:
+        _table_bytes -= _tables.pop(key)[1]
+
+
+def store_snapshot(store_dir: str) -> StoreSnapshot | None:
+    """The snapshot of ``store_dir``'s current manifest, or ``None`` when
+    the store is absent or incomplete.  One ``os.stat`` when cached."""
+    try:
+        st = os.stat(os.path.join(store_dir, _META))
+    except OSError:
+        return None
+    # taken BEFORE the manifest is read: a manifest swapped in during the
+    # read is cached under the older key and reloaded on the next call
+    key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+    store = os.path.abspath(store_dir)
+    with _lock:
+        snap = _snapshots.get(store)
+        if snap is not None and snap.key == key:
+            _snapshots.move_to_end(store)
+            return snap
+    meta = store_meta(store_dir)
+    if meta is None:
+        return None
+    snap = StoreSnapshot(store, key, meta)
+    with _lock:
+        _forget(store)
+        _snapshots[store] = snap
+        while len(_snapshots) > _MAX_STORES:
+            _forget(next(iter(_snapshots)))
+    return snap
+
+
+def _current_snapshot(store_dir: str) -> StoreSnapshot:
+    snap = store_snapshot(store_dir)
+    if snap is None:
+        raise FileNotFoundError("KG store at %s is absent or incomplete" % store_dir)
+    return snap
+
+
+def _table(snap: StoreSnapshot, token: str) -> pa.Table | None:
+    """``token``'s rows, all columns, in file order (schema metadata
+    stripped, as ``read_parquet_clean`` strips it); ``None`` for a
+    partition without files.  Decoded once per snapshot while it stays
+    within ``SNAPSHOT_TABLE_BYTES``."""
+    global _table_bytes
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    with _lock:
+        hit = _tables.get((snap, token))
+        if hit is not None:
+            _tables.move_to_end((snap, token))
+            return hit[0]
+    paths = snap.paths(token)
+    if not paths:
+        snap.preds[token] = frozenset()
+        return None
+    # ParquetFile.read skips read_table's per-call dataset set-up
+    table = pa.concat_tables(
+        [pq.ParquetFile(p).read() for p in paths], promote_options="permissive"
+    ).replace_schema_metadata(None)
+    snap.preds[token] = frozenset(pc.unique(table.column("pred")).to_pylist())
+    size = table.get_total_buffer_size()
+    with _lock:
+        live = _snapshots.get(snap.dir) is snap
+        if live and size <= SNAPSHOT_TABLE_BYTES and (snap, token) not in _tables:
+            _tables[(snap, token)] = (table, size)
+            _table_bytes += size
+            while _table_bytes > SNAPSHOT_TABLE_BYTES:
+                _table_bytes -= _tables.popitem(last=False)[1][1]
+    return table
+
+
+def _select(table: pa.Table, want) -> pa.Table:
+    """``want``'s columns that ``table`` has, in ``want``'s order (a
+    Parquet read skips a column the file lacks)."""
+    if want is None:
+        return table
+    have = set(table.column_names)
+    return table.select([c for c in want if c in have])
 
 
 def _residual(preds, want):
@@ -488,46 +648,17 @@ def _residual(preds, want):
     pred_arr = pa.array(sorted(set(preds)))
 
     def residual(batch: pa.Table) -> pa.Table:
-        out = batch.filter(pc.is_in(batch.column("pred"), pred_arr))
-        if want is not None and "pred" not in want:
-            out = out.select(want)
-        return out
+        return _select(batch.filter(pc.is_in(batch.column("pred"), pred_arr)), want)
 
     return residual
-
-
-def _open_pruned(store_dir: str, preds, columns, stop_after: int | None):
-    """``_pruned_read`` with each file opened once: ``(files, rows,
-    read_cols, want, empty)``, ``rows`` summing the opened files'
-    footers.  Stops opening once ``rows`` passes ``stop_after``, so
-    sizing a large store's read opens only a few footers."""
-    import pyarrow.parquet as pq
-
-    paths, read_cols, want, empty = _pruned_read(store_dir, preds, columns)
-    files, rows = [], 0
-    for path in paths:
-        # ParquetFile.read skips read_table's per-call dataset set-up
-        files.append(pq.ParquetFile(path))
-        rows += files[-1].metadata.num_rows
-        if stop_after is not None and rows > stop_after:
-            break
-    return files, rows, read_cols, want, empty
 
 
 def scan_rows(store_dir: str, preds=None, stop_after: int | None = None) -> int:
     """Rows in the files a read of ``preds`` opens, summed from their
     Parquet footers (before the residual filter), stopping once past
-    ``stop_after``.  Footers are always current; the manifest records
-    no counts that ``update_kg`` or ``transform_graphs`` would have to
-    keep up."""
-    return _open_pruned(store_dir, preds, None, stop_after)[1]
-
-
-def scan_layout(store_dir: str, preds=None) -> tuple[int, int]:
-    """``(files, row groups)`` a read of ``preds`` opens, from every
-    pruned file's Parquet footer."""
-    files = _open_pruned(store_dir, preds, None, None)[0]
-    return len(files), sum(f.metadata.num_row_groups for f in files)
+    ``stop_after``."""
+    snap = _current_snapshot(store_dir)
+    return snap.rows(snap.tokens(preds), stop_after)
 
 
 def read_kg(store_dir: str, preds=None, columns=None):
@@ -538,29 +669,38 @@ def read_kg(store_dir: str, preds=None, columns=None):
     needs it, then dropped)."""
     import ray.data as rd
 
-    paths, read_cols, want, empty = _pruned_read(store_dir, preds, columns)
+    snap = _current_snapshot(store_dir)
+    paths = [p for t in snap.tokens(preds) for p in snap.paths(t)]
     if not paths:
-        return rd.from_arrow(empty)
-    ds = read_parquet_clean(paths, columns=read_cols)
+        return rd.from_arrow(snap.empty(columns))
+    want = list(columns) if columns is not None else None
+    need_pred = preds is not None and want is not None and "pred" not in want
+    ds = read_parquet_clean(paths, columns=[*want, "pred"] if need_pred else want)
     if preds is None:
         return ds
     return ds.map_batches(_residual(preds, want), batch_format="pyarrow")
 
 
 def read_kg_table(store_dir: str, preds, columns, max_rows: int) -> pa.Table | None:
-    """``read_kg`` in-process: the same pruned files, columns and
-    residual filter, read into one ``pa.Table`` in this process (schema
-    metadata stripped, as ``read_parquet_clean`` strips it), or ``None``
-    when the files' footers hold more than ``max_rows`` rows."""
-    files, rows, read_cols, want, empty = _open_pruned(
-        store_dir, preds, columns, max_rows
-    )
-    if rows > max_rows:
+    """``read_kg`` in-process: the same pruned partitions, columns and
+    residual filter, as one ``pa.Table`` built from the snapshot's
+    decoded tables, or ``None`` when the partitions' footers hold more
+    than ``max_rows`` rows.  The residual filter runs only on a
+    partition that holds a predicate outside ``preds``."""
+    snap = _current_snapshot(store_dir)
+    tokens = snap.tokens(preds)
+    if snap.rows(tokens, max_rows) > max_rows:
         return None
-    if not files:
-        return empty
-    table = pa.concat_tables(
-        [f.read(columns=read_cols) for f in files],
-        promote_options="permissive",
-    ).replace_schema_metadata(None)
-    return table if preds is None else _residual(preds, want)(table)
+    asked = None if preds is None else set(preds)
+    parts = []
+    for token in tokens:
+        table = _table(snap, token)
+        if table is None:
+            continue
+        if asked is None or snap.preds[token] <= asked:
+            parts.append(_select(table, columns))
+        else:
+            parts.append(_residual(asked, columns)(table))
+    if not parts:
+        return snap.empty(columns)
+    return parts[0] if len(parts) == 1 else pa.concat_tables(parts, promote_options="permissive")

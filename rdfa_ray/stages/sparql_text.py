@@ -486,8 +486,7 @@ def _row_entropy(t: pa.Table, salt: int) -> "np.ndarray":
     )
     if isinstance(joined, pa.ChunkedArray):
         joined = joined.combine_chunks()
-    s = pl.Series(joined.to_pandas())
-    return s.hash(seed=salt).to_numpy().astype(np.uint64)
+    return pl.Series(joined).hash(seed=salt).to_numpy().astype(np.uint64)
 
 
 def _string_kernel(v, fn):
@@ -977,9 +976,9 @@ class _FilterCompiler:
                             )
                         if isinstance(lbl, pa.ChunkedArray):
                             lbl = lbl.combine_chunks()
-                        lh = pl.Series(
-                            pc.fill_null(lbl, "").to_pandas()
-                        ).hash(seed=_s).to_numpy().astype(np.uint64)
+                        lh = pl.Series(pc.fill_null(lbl, "")).hash(
+                            seed=_s
+                        ).to_numpy().astype(np.uint64)
                         h = h ^ lh
                     return pa.array(
                         ["_:b%016x" % int(v) for v in h], pa.string()
@@ -4085,27 +4084,25 @@ def explain(query: str, store_dir: str | None = None) -> str:
 
     preds, prunable = _plan_pred_pushdown(plan)
     if store_dir is not None:
-        from .kgstore import pred_key, scan_layout, scan_rows, store_meta
+        from .kgstore import store_snapshot
 
-        meta = store_meta(store_dir)
-        if meta is None:
+        snap = store_snapshot(store_dir)
+        if snap is None:
             lines.append("store: %s (absent/incomplete)" % store_dir)
         else:
-            parts = meta["partitions"]
+            hit = snap.tokens(preds if prunable else None)
             if prunable:
-                hit = sorted({pred_key(p) for p in preds} & set(parts))
                 lines.append(
                     "store scan: %d of %d partitions [%s]"
-                    % (len(hit), len(parts), ", ".join(hit))
+                    % (len(hit), len(snap.parts), ", ".join(hit))
                 )
             else:
                 lines.append(
                     "store scan: ALL %d partitions (variable predicate or"
-                    " neg/star/opt path)" % len(parts)
+                    " neg/star/opt path)" % len(snap.parts)
                 )
-            scan = sorted(preds) if prunable else None
-            lines.append("store files: %d (%d row groups)" % scan_layout(store_dir, scan))
-            rows = scan_rows(store_dir, scan, stop_after=LOCAL_MAX_ROWS)
+            lines.append("store files: %d (%d row groups)" % snap.layout(hit))
+            rows = snap.rows(hit, stop_after=LOCAL_MAX_ROWS)
             lines.append(
                 "executor: in-process (%d rows <= %d)" % (rows, LOCAL_MAX_ROWS)
                 if rows <= LOCAL_MAX_ROWS

@@ -22,7 +22,8 @@ index, vocab cache).
   references.
 
 Readers take no lock and resolve the manifest to file paths once per
-scan; a reader caching paths across a publish + vacuum can lose files.
+scan (the KG store once per manifest, keyed on its ``os.stat``); a
+reader caching paths across a publish + vacuum can lose files.
 """
 
 from __future__ import annotations

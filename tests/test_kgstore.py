@@ -571,3 +571,252 @@ def test_block_layout_store_reads_and_updates(tmp_path):
     assert files(rel) == old_files  # the block-layout partition is untouched
     assert _layout(store)[1][pred_key(P[2])] == [1]
     check()
+
+
+# ------------------------------------------------------ store snapshot
+
+
+def _twin_check(store, queries):
+    """Each SPARQL query's answer on the store equals its DuckDB twin
+    over the files the current manifest names.  Returns the answers."""
+    import glob
+
+    import duckdb
+
+    from rdfa_ray.stages import sparql_text
+
+    live = json.load(open(os.path.join(store, "_meta.json")))["partitions"].values()
+    files = [f for rel in live for f in glob.glob(os.path.join(store, rel, "*.parquet"))]
+    con = duckdb.connect()
+    con.execute("CREATE TABLE t AS SELECT subj, pred, obj_value, graph FROM read_parquet([%s],"
+                " union_by_name = true)" % ", ".join(map(repr, files)))
+    out = []
+    for sparql, sql in queries:
+        got = sparql_text.execute_on_store(store, sparql).to_pandas()
+        out.append(sorted(map(tuple, got.astype(object).values.tolist())))
+        assert out[-1] == sorted(con.execute(sql).fetchall()), sparql
+    return out
+
+
+def _pred_queries(preds):
+    """A plain scan and a per-graph count for each predicate."""
+    return [q for p in preds for q in (
+        ("SELECT ?s ?o WHERE { ?s <%s> ?o }" % p,
+         "SELECT subj, obj_value FROM t WHERE pred = '%s'" % p),
+        ("SELECT ?g (COUNT(*) AS ?n) WHERE { GRAPH ?g { ?s <%s> ?o } } GROUP BY ?g" % p,
+         # GRAPH ?g binds named graphs only, not the default graph ''
+         "SELECT graph, COUNT(*) FROM t WHERE pred = '%s' AND graph <> ''"
+         " GROUP BY graph" % p),
+    )]
+
+
+@pytest.mark.usefixtures("both_executors")
+def test_snapshot_sees_update_in_the_same_process(tmp_path):
+    store = str(tmp_path / "kg")
+    rows = _rows()
+    persist_kg(_blocks(rows), store)
+    queries = _pred_queries(P[:2])
+    before = _twin_check(store, queries)
+    assert _twin_check(store, queries) == before  # warm
+    gone = next(r for r in rows if r["pred"] == P[1])
+    update_kg(
+        store,
+        insert_ds=_ds([("s999", P[0], "new")]),
+        delete_ds=_blocks([gone], 1),
+    )
+    after = _twin_check(store, queries)
+    assert after[0] == sorted(before[0] + [("s999", "new")])
+    assert len(after[2]) == len(before[2]) - 1
+
+
+@pytest.mark.usefixtures("both_executors")
+def test_snapshot_sees_rebuild_of_the_same_directory(tmp_path):
+    import shutil
+
+    store = str(tmp_path / "kg")
+    persist_kg(_blocks(_rows()), store)
+    queries = _pred_queries(P)
+    before = _twin_check(store, queries)
+    _twin_check(store, queries)
+    shutil.rmtree(store)
+    # the same predicates: the new manifest has the same bytes
+    persist_kg(_blocks([dict(r, obj_value=r["obj_value"] + "-v2") for r in _rows()]), store)
+    after = _twin_check(store, queries)
+    assert after != before and all(o.endswith("-v2") for _s, o in after[0])
+
+
+@pytest.mark.usefixtures("both_executors")
+def test_snapshot_sees_update_by_another_process(tmp_path):
+    import subprocess
+    import sys
+
+    import ray
+
+    store = str(tmp_path / "kg")
+    persist_kg(_blocks(_rows()), store)
+    queries = _pred_queries(P[2:])
+    before = _twin_check(store, queries)
+    _twin_check(store, queries)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import sys, ray, ray.data as rd\n"
+        "ray.init(address=sys.argv[1], logging_level='ERROR')\n"
+        "from rdfa_ray.stages.kgstore import update_kg\n"
+        "update_kg(sys.argv[2], insert_ds=rd.from_items("
+        "[{'subj': 'sX', 'pred': %r, 'obj_value': 'oX'}]))\n"
+        "ray.shutdown()\n" % P[3]
+    )
+    subprocess.run(
+        [sys.executable, "-c", code, ray.get_runtime_context().gcs_address, store],
+        cwd=root, env=dict(os.environ, PYTHONPATH=root), check=True, timeout=300,
+    )
+    after = _twin_check(store, queries)
+    assert after[2] == sorted(before[2] + [("sX", "oX")])
+
+
+@pytest.mark.usefixtures("both_executors")
+def test_crashed_update_keeps_serving_the_snapshot(tmp_path, monkeypatch):
+    from rdfa_ray.stages import kgstore
+    from rdfa_ray.state import commit
+
+    store = str(tmp_path / "kg")
+    persist_kg(_blocks(_rows()), store)
+    queries = _pred_queries(P[:2])
+    before = _twin_check(store, queries)
+    snap = kgstore.store_snapshot(store)
+
+    def crash(*_a, **_k):
+        raise OSError("crash before the manifest swap")
+
+    monkeypatch.setattr(commit, "publish_manifest", crash)
+    with pytest.raises(OSError, match="crash"):
+        update_kg(store, insert_ds=_ds([("s999", P[0], "new")]))
+    monkeypatch.undo()
+    assert len(os.listdir(os.path.join(store, "parts"))) == len(P) + 1  # new generation left
+    assert kgstore.store_snapshot(store) is snap
+    assert _twin_check(store, queries) == before
+
+
+@pytest.mark.usefixtures("both_executors")
+def test_shared_pred_key_collision_with_a_warm_cache(tmp_path):
+    from rdfa_ray.stages import kgstore
+
+    a, b = "http://a.org/v/name", "http://b.org/v/name"
+    assert pred_key(a) == pred_key(b)
+    store = str(tmp_path / "kg")
+    persist_kg(_blocks(
+        [{"subj": s, "pred": p, "obj_value": o, "graph": ""}
+         for s, p, o in [("s1", a, "one"), ("s2", b, "two"), ("s3", a, "three")]], 3,
+    ), store)
+    queries = _pred_queries([a, b]) + [(
+        "SELECT ?s ?x ?y WHERE { ?s <%s> ?x . OPTIONAL { ?s <%s> ?y } }" % (a, b),
+        "SELECT subj, obj_value, '' FROM t WHERE pred = '%s'" % a,  # unbound ?y reads ''
+    )]
+    first = _twin_check(store, queries)
+    assert _twin_check(store, queries) == first  # warm
+    assert first[0] == [("s1", "one"), ("s3", "three")]
+    assert kgstore.store_snapshot(store).preds[pred_key(a)] == {a, b}
+
+
+@pytest.mark.usefixtures("both_executors")
+def test_snapshot_table_budget_evicts(tmp_path, monkeypatch):
+    from rdfa_ray.stages import kgstore
+
+    store, twin = str(tmp_path / "kg"), str(tmp_path / "twin")
+    persist_kg(_blocks(_rows()), store)
+    persist_kg(_blocks(_rows()), twin)  # sized on a twin: the store's cache stays cold
+    snap = kgstore.store_snapshot(twin)
+    one = max(kgstore._table(snap, kgstore.pred_key(p)).get_total_buffer_size() for p in P)
+    monkeypatch.setattr(kgstore, "SNAPSHOT_TABLE_BYTES", one)
+    queries = _pred_queries(P)
+    first = _twin_check(store, queries)
+    assert _twin_check(store, queries) == first
+    assert 1 <= len(kgstore._tables) and kgstore._table_bytes <= one
+    monkeypatch.setattr(kgstore, "SNAPSHOT_TABLE_BYTES", 0)  # nothing fits
+    assert _twin_check(store, queries) == first
+
+
+def test_token_first_seen_on_the_ray_path_is_read_in_process(ray_session, tmp_path, monkeypatch):
+    from rdfa_ray.stages import kgstore, sparql_text
+
+    store = str(tmp_path / "kg")
+    persist_kg(_blocks(_rows()), store)
+    limit = sparql_text.LOCAL_MAX_ROWS
+    star = [(
+        "SELECT ?s ?a ?b WHERE { ?s <%s> ?a . OPTIONAL { ?s <%s> ?b } }" % (P[0], P[1]),
+        "SELECT subj, obj_value, '' FROM t WHERE pred = '%s'" % P[0],  # unbound ?b reads ''
+    )]
+    _twin_check(store, _pred_queries(P[:1]))  # in-process: P0 decoded
+    monkeypatch.setattr(sparql_text, "LOCAL_MAX_ROWS", 0)
+    _twin_check(store, star)  # Ray: P1's files listed, its rows not decoded
+    snap = kgstore.store_snapshot(store)
+    assert kgstore.pred_key(P[1]) in snap.files and kgstore.pred_key(P[1]) not in snap.preds
+    monkeypatch.setattr(sparql_text, "LOCAL_MAX_ROWS", limit)
+    assert "executor: in-process" in sparql_text.explain(star[0][0], store)
+    _twin_check(store, star + _pred_queries(P[1:2]))
+
+
+def test_warm_query_reads_no_manifest_glob_or_parquet_file(ray_session, tmp_path, monkeypatch):
+    import collections
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from rdfa_ray.stages import kgstore, sparql_text
+
+    store = str(tmp_path / "kg")
+    persist_kg(_blocks(_rows()), store)
+    queries = [
+        "SELECT ?g ?s ?a ?b WHERE { GRAPH ?g { ?s <%s> ?a . ?s <%s> ?b } }" % (P[0], P[2]),
+        "SELECT ?o (COUNT(*) AS ?n) WHERE { ?s <%s> ?o } GROUP BY ?o" % P[1],
+    ]
+    calls = collections.Counter()
+
+    def counting(name, fn, hit=lambda *a, **k: True):
+        def run(*a, **k):
+            if hit(*a, **k):
+                calls[name] += 1
+            return fn(*a, **k)
+        return run
+
+    monkeypatch.setattr(pq, "ParquetFile", counting("ParquetFile", pq.ParquetFile))
+    monkeypatch.setattr(glob, "glob", counting("glob", glob.glob))
+    monkeypatch.setattr(json, "load", counting("json.load", json.load))
+    monkeypatch.setattr(json, "loads", counting("json.loads", json.loads))
+    monkeypatch.setattr(os, "stat", counting(
+        "stat _meta.json", os.stat, lambda p, *a, **k: str(p).endswith("_meta.json")))
+    for q in queries:
+        calls.clear()
+        cold = sparql_text.execute_on_store(store, q).to_pandas()
+        assert calls["ParquetFile"] and calls["glob"]  # new partitions: the counters count
+        calls.clear()
+        warm = sparql_text.execute_on_store(store, q).to_pandas()
+        assert dict(calls) == {"stat _meta.json": 1}, q
+        assert warm.equals(cold)
+        calls.clear()
+        sparql_text.explain(q, store)
+        assert dict(calls) == {"stat _meta.json": 1}, q
+    calls.clear()
+    kgstore.store_meta(store)  # a disk read of the manifest counts
+    assert calls["json.load"] == 1
+
+
+def test_snapshot_shared_by_threads(ray_session, tmp_path, monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    from rdfa_ray.stages import kgstore, sparql_text
+
+    store = str(tmp_path / "kg")
+    rows = _rows()
+    persist_kg(_blocks(rows), store)
+    # a budget of about two partitions keeps the threads evicting
+    monkeypatch.setattr(kgstore, "SNAPSHOT_TABLE_BYTES", 2 * kgstore._table(
+        kgstore.store_snapshot(store), pred_key(P[0])).get_total_buffer_size())
+
+    def count(p):
+        q = "SELECT (COUNT(*) AS ?n) WHERE { ?s <%s> ?o }" % p
+        return sparql_text.execute_on_store(store, q).to_pandas()["n"].tolist()
+
+    with ThreadPoolExecutor(4) as pool:
+        got = list(pool.map(count, P * 10))
+    assert got == [[sum(r["pred"] == p for r in rows)] for p in P * 10]

@@ -103,7 +103,7 @@ PANDAS_FREE = ("stages/bgp.py", "stages/sparql.py", "stages/distinct.py",
                "stages/sparql_text.py", "stages/kgstore.py")
 # modules that never convert a Dataset or table to pandas: their
 # ``.to_pandas(`` calls count as pandas uses too
-NO_TO_PANDAS = ("stages/kgstore.py",)
+NO_TO_PANDAS = ("stages/kgstore.py", "stages/sparql_text.py")
 
 
 def _pandas_uses(rel):

@@ -740,6 +740,49 @@ def test_rand_uuid_bnode_deterministic_per_row(ray_session):
     assert a["n1"].nunique() == 3
 
 
+# values taken from the pandas-backed hash this replaced: the row hash
+# must not move with the string width or with \x1f, non-ASCII or empty
+# values in the row
+PINNED_ROWS = [
+    ("a", "http://ex.org/size", "10"),
+    ("b", "http://ex.org/size", "\u00fcn\u00ef\x1fcode"),
+    ("c", "http://ex.org/size", ""),
+    ("d", "http://ex.org/size", "\u65e5\u672c\u8a9e"),
+]
+PINNED = {
+    "a": (0.5338440331485078, "bd92fc82-6fdc-487e-831d-ace464182294",
+          "0028e577-5c5f-4237-81e4-9049374f9324", "490897ac275d88f2", "179aae4044a7dd8e"),
+    "b": (0.5383460329870156, "9445ee2a-a4a9-463d-859c-64155bc95ef2",
+          "48369d89-c849-4c8d-8cea-63844b0a3257", "8e91954453de8422", "87351f5122baf57a"),
+    "c": (0.5609420853887986, "49bc899f-664d-465e-82be-02abbf5d5a0b",
+          "360b3361-a8ee-43cd-8fad-78c1fe0b3f42", "283d582b75e8b8a6", "1716c22c75644ed7"),
+    "d": (0.6020739514032484, "e54c9f24-f2e1-44d0-8c77-0235d93b79fd",
+          "1bdfdda9-c6b7-49dc-80ac-ead0d03a8c5f", "156155cac97d4809", "e420d9b116871b9b"),
+}
+
+
+@pytest.mark.parametrize("typ", [pa.string(), pa.large_string()])
+def test_rand_uuid_bnode_values_pinned(ray_session, typ):
+    q = (
+        "SELECT ?d ?r ?u ?su ?n0 ?n1 WHERE { ?d ex:size ?s ."
+        " BIND(RAND() AS ?r) BIND(UUID() AS ?u) BIND(STRUUID() AS ?su)"
+        " BIND(BNODE() AS ?n0) BIND(BNODE(?s) AS ?n1) }"
+    )
+    subj, pred, obj = zip(*PINNED_ROWS)
+    ds = rd.from_arrow(pa.table({
+        "subj": pa.array(subj, typ), "pred": pa.array(pred, typ),
+        "obj_value": pa.array(obj, typ),
+    }))
+    got = {
+        r["d"]: (r["r"], r["u"], r["su"], r["n0"], r["n1"])
+        for r in execute(ds, PREFIX + q, n_buckets=4).to_pandas().to_dict("records")
+    }
+    assert got == {
+        d: (r, "urn:uuid:" + u, su, "_:b" + n0, "_:b" + n1)
+        for d, (r, u, su, n0, n1) in PINNED.items()
+    }
+
+
 def test_bare_filter_constraints(ray_session):
     # SPARQL Constraint ::= BrackettedExpression | BuiltInCall — the
     # unbracketted builtin-call form
